@@ -28,7 +28,6 @@ from evobeam.channel import (
 )
 from evobeam.errors import (
     ConfigurationError,
-    ConvergenceError,
     EvobeamError,
     ProtocolError,
     ValidationError,
@@ -54,7 +53,7 @@ from evobeam.optimize import (
 )
 from evobeam.scenario import ScenarioConfig, default_scenario, load_scenario
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AgentRole",
@@ -63,7 +62,6 @@ __all__ = [
     "BeamGain",
     "BeamformingSolution",
     "ConfigurationError",
-    "ConvergenceError",
     "CsiSnapshotBatch",
     "DoASet",
     "DoaEstimate",

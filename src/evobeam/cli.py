@@ -7,7 +7,8 @@ Subcommands:
               set of directions
     baseline  gain of the uniform fixed array for a fixed set of directions
 
-Exit codes: 0 success, 2 configuration problem (the message names the
+Exit codes: 0 success, 1 internal error (such as lifecycle bookkeeping
+driven out of order), 2 configuration problem (the message names the
 offending field), 3 unwritable output. Degradation events during a run are
 normal operation, not errors.
 """
@@ -27,6 +28,7 @@ from .reporting import write_events_json, write_metrics_csv
 from .scenario import default_scenario, load_scenario
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_OUTPUT = 3
 
@@ -214,7 +216,7 @@ def main(argv=None) -> int:
         return EXIT_OUTPUT
     except EvobeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,19 +13,5 @@ class ConfigurationError(EvobeamError, ValueError):
     """A configuration is internally inconsistent or infeasible."""
 
 
-class ConvergenceError(EvobeamError, RuntimeError):
-    """An iterative solver failed to converge.
-
-    Attributes:
-        residual: norm of the last residual before giving up.
-        iterations: number of iterations performed.
-    """
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
 class ProtocolError(EvobeamError, RuntimeError):
     """Lifecycle bookkeeping was driven out of order."""

@@ -124,13 +124,8 @@ def estimate_doas(
 
 def _local_maxima(values: np.ndarray) -> list:
     """Indices of strict local maxima, one-sided at the ends."""
-    g = values.shape[0]
-    if g == 1:
-        return [0]
-    out = []
-    for i in range(g):
-        left_ok = i == 0 or values[i] > values[i - 1]
-        right_ok = i == g - 1 or values[i] > values[i + 1]
-        if left_ok and right_ok:
-            out.append(i)
-    return out
+    above_left = np.ones(values.shape[0], dtype=bool)
+    above_right = above_left.copy()
+    above_left[1:] = values[1:] > values[:-1]
+    above_right[:-1] = values[:-1] > values[1:]
+    return np.flatnonzero(above_left & above_right).tolist()

@@ -334,7 +334,8 @@ def _build_dataclass(cls, section, path):
     _reject_unknown(section, known, path)
     try:
         return cls(**section)
-    except EvobeamError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+    except (EvobeamError, TypeError) as exc:
+        message = str(exc)
+        if not message.startswith(f"{path}."):
+            message = f"{path}: {message}"
+        raise ConfigurationError(message) from exc

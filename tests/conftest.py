@@ -23,11 +23,14 @@ class _Handler(BaseHTTPRequestHandler):
         status, payload, delay = self.server.next_response()
         if delay:
             time.sleep(delay)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client timed out first, as the timeout tests intend
 
     def log_message(self, *args):
         pass
@@ -41,7 +44,11 @@ class MockEndpoint:
         self.server.seen = []
         self.server.script = []
         self.server.next_response = self._next_response
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # A short poll interval lets close() return within ~10 ms instead of
+        # waiting out serve_forever's default 0.5 s poll.
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
 
     @property

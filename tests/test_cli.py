@@ -99,6 +99,17 @@ class TestRun:
         err = capsys.readouterr().err
         assert "constraints" in err and "min_spacing" in err
 
+    @pytest.mark.parametrize(
+        "field", ["restarts", "max_outer_iterations", "max_step_halvings"]
+    )
+    def test_non_integer_optimizer_count_exits_2_naming_the_field(
+        self, tmp_path, capsys, field
+    ):
+        bad = GOOD_CONFIG.replace("restarts: 4", f"{field}: 1.5")
+        config = write_config(tmp_path, bad)
+        assert main(run_args(config, tmp_path)) == 2
+        assert f"optimizer.{field}" in capsys.readouterr().err
+
     def test_unknown_key_exits_2_and_names_the_key(self, tmp_path, capsys):
         config = write_config(tmp_path, GOOD_CONFIG + "turbo: true\n")
         assert main(run_args(config, tmp_path)) == 2

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evobeam.arrays import ArrayConstraints, DoASet, steering_vector
 from evobeam.channel import synthesize_csi
 from evobeam.errors import ValidationError
-from evobeam.estimation import estimate_doas, sample_covariance
+from evobeam.estimation import _local_maxima, estimate_doas, sample_covariance
 
 GEOMETRY = ArrayConstraints().uniform_geometry()
 
@@ -134,3 +136,39 @@ def test_noisy_two_source_accuracy_on_a_wide_array():
         errors.extend((np.asarray(est.angles.angles_deg) - pair).tolist())
     rmse = float(np.sqrt(np.mean(np.square(errors))))
     assert rmse <= 1.0
+
+
+# ---------------------------------------------------------------- peak picking
+
+
+def local_maxima_loop(values):
+    """Reference: strict local maxima, one-sided at the ends, by a loop."""
+    g = values.shape[0]
+    if g == 1:
+        return [0]
+    out = []
+    for i in range(g):
+        left_ok = i == 0 or values[i] > values[i - 1]
+        right_ok = i == g - 1 or values[i] > values[i + 1]
+        if left_ok and right_ok:
+            out.append(i)
+    return out
+
+
+@given(
+    st.one_of(
+        # Few distinct values, so ties and plateaus are common.
+        st.lists(st.integers(-2, 2).map(float), min_size=1, max_size=30),
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
+    )
+)
+@example([0.0])
+@example([1.0, 1.0])
+@example([1.0, 2.0])
+@example([2.0, 1.0])
+@example([0.0, 1.0, 1.0, 0.0, 2.0, 2.0])
+def test_local_maxima_matches_loop_reference(values):
+    spectrum = np.asarray(values, dtype=float)
+    got = _local_maxima(spectrum)
+    assert got == local_maxima_loop(spectrum)
+    assert all(type(i) is int for i in got)

@@ -258,6 +258,15 @@ def test_baseline_gain_matches_dense_oracle():
         assert_allclose(sol.gain_linear, oracle, rtol=1e-9)
 
 
+def test_baseline_on_near_degenerate_pair_matches_dense_oracle():
+    # Top two eigenvalues nearly coincide here, which once stalled the solve.
+    doas = DoASet((75.5225 + 1e-5, 90.0))
+    sol = fixed_baseline(doas, ArrayConstraints())
+    oracle = np.linalg.eigvalsh(gain_matrix(sol.geometry, doas))[-1]
+    assert abs(sol.gain_db - 10 * math.log10(oracle)) <= 1e-9
+    assert abs(sol.gain_db - 9.030907) < 1e-6
+
+
 # ---------------------------------------------------------------- joint search
 
 
