@@ -28,6 +28,12 @@ from .arrays import (
 )
 from .errors import ConfigurationError, ValidationError
 
+# Batched temporaries (the candidate Gram matrices of a coordinate sweep,
+# the block-mean tables of the projection) are built in blocks of at most
+# this many entries (256 KiB of complex numbers), so their memory
+# does not grow with the number of restarts or the grid size.
+_BLOCK_ENTRIES = 1 << 14
+
 
 class Strategy(str, Enum):
     """Position search strategies."""
@@ -74,12 +80,12 @@ class OptimizerConfig:
                     f"optimizer.{name} must be an integer >= {minimum}, got {value!r}"
                 )
             object.__setattr__(self, name, int(value))
-        if not self.step_size > 0:
-            raise ValidationError("optimizer.step_size must be positive")
-        if not self.grid_resolution > 0:
-            raise ValidationError("optimizer.grid_resolution must be positive")
-        if not self.gain_tolerance_db > 0:
-            raise ValidationError("optimizer.gain_tolerance_db must be positive")
+        for name in ("step_size", "grid_resolution", "gain_tolerance_db"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(
+                    f"optimizer.{name} must be a positive finite number, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -119,45 +125,53 @@ def project_positions(positions, constraints: ArrayConstraints) -> np.ndarray:
     the per-element boxes collapse to the constant box
     [-bound, bound - (N-1) * min_spacing]; the projection is then isotonic
     regression followed by a clip.
+
+    positions is one layout of shape (N,) or a stack of shape (..., N);
+    each layout is projected on its own, and layouts that are already
+    feasible are returned unchanged.
     """
     x = np.asarray(positions, dtype=float)
-    if x.shape != (constraints.num_elements,):
-        raise ValidationError(
-            f"expected {constraints.num_elements} positions, got shape {x.shape}"
-        )
+    n = constraints.num_elements
+    if x.ndim == 0 or x.shape[-1] != n:
+        raise ValidationError(f"expected {n} positions, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("positions must be finite")
-    n = x.shape[0]
     d = constraints.min_spacing
     b = constraints.position_bound
     if n * d > 2 * b + d:
         raise ConfigurationError(
             f"{n} elements with min spacing {d} cannot fit in [-{b}, {b}]"
         )
+    rows = x.reshape(-1, n).copy()
+    infeasible = np.flatnonzero(
+        np.any(np.diff(rows, axis=1) < d, axis=1) | np.any(np.abs(rows) > b, axis=1)
+    )
     offsets = np.arange(n) * d
-    y = _isotonic(x - offsets)
-    np.clip(y, -b, b - (n - 1) * d, out=y)
-    return y + offsets
+    block = max(1, _BLOCK_ENTRIES // (n * n))
+    for start in range(0, infeasible.size, block):
+        chosen = infeasible[start : start + block]
+        y = _isotonic_rows(rows[chosen] - offsets)
+        np.clip(y, -b, b - (n - 1) * d, out=y)
+        rows[chosen] = y + offsets
+    return rows.reshape(x.shape)
 
 
-def _isotonic(y: np.ndarray) -> np.ndarray:
-    """Nondecreasing least-squares fit via pool-adjacent-violators."""
-    values: list[float] = []
-    weights: list[int] = []
-    for v in y:
-        values.append(float(v))
-        weights.append(1)
-        while len(values) > 1 and values[-2] > values[-1]:
-            v2, w2 = values.pop(), weights.pop()
-            v1, w1 = values.pop(), weights.pop()
-            values.append((w1 * v1 + w2 * v2) / (w1 + w2))
-            weights.append(w1 + w2)
-    out = np.empty_like(y)
-    i = 0
-    for v, w in zip(values, weights):
-        out[i : i + w] = v
-        i += w
-    return out
+def _isotonic_rows(y: np.ndarray) -> np.ndarray:
+    """Nondecreasing least-squares fit of each row of y.
+
+    Uses the min-max formula fit_i = max_{j<=i} min_{k>=i} mean(y[j..k]),
+    with every block mean taken from one prefix sum: O(N^2) per row.
+    """
+    n = y.shape[1]
+    first = np.arange(n)[:, None]
+    last = np.arange(n)[None, :]
+    prefix = np.concatenate((np.zeros((y.shape[0], 1)), np.cumsum(y, axis=1)), axis=1)
+    means = (prefix[:, None, 1:] - prefix[:, :-1, None]) / np.maximum(last - first + 1, 1)
+    means[:, first > last] = np.inf
+    # suffix minimum over the block end k >= i, for every block start j
+    upper = np.minimum.accumulate(means[:, :, ::-1], axis=2)[:, :, ::-1]
+    upper[:, first > last] = -np.inf
+    return upper.max(axis=1)
 
 
 def position_gradient(geometry: ArrayGeometry, weights, doas: DoASet) -> np.ndarray:
@@ -177,9 +191,7 @@ def position_gradient(geometry: ArrayGeometry, weights, doas: DoASet) -> np.ndar
         raise ValidationError("weights must have unit norm")
     s = steering_matrix(geometry, doas.angles_deg)
     alpha = spatial_frequencies(geometry.wavelength, doas.angles_deg)
-    g = w.conj() @ s
-    terms = (1j * alpha * g.conj())[None, :] * s * w.conj()[:, None]
-    return 2.0 * np.sum(terms.real, axis=1)
+    return _gradient(s, w, alpha)
 
 
 def fixed_baseline(doas: DoASet, constraints: ArrayConstraints) -> BeamformingSolution:
@@ -216,8 +228,10 @@ def optimize_movable(
     begin at seeded random feasible layouts. Each restart alternates an
     exact weight update with one position update (a projected gradient step
     or one round of per-coordinate grid search) and stops once the dB gain
-    improves by less than gain_tolerance_db. The best restart wins; at
-    equal gain the lowest restart index wins.
+    improves by less than gain_tolerance_db. The restarts advance in
+    lockstep as one batch, and every update is vectorized over the restarts
+    still running, projection included. The best restart wins; at equal
+    gain the lowest restart index wins.
 
     Returns:
         BeamformingSolution for the winning restart, with the recorded
@@ -226,22 +240,33 @@ def optimize_movable(
     alpha = spatial_frequencies(constraints.wavelength, doas.angles_deg)
     b = constraints.position_bound
     n = constraints.num_elements
+    x = np.empty((config.restarts, n))
+    x[0] = constraints.uniform_geometry().positions
+    for restart in range(1, config.restarts):
+        x[restart] = np.sort(np.random.default_rng(config.seed + restart).uniform(-b, b, n))
+    x[1:] = project_positions(x[1:], constraints)
+    update = _gradient_steps if config.strategy is Strategy.GRADIENT else _coordinate_sweeps
 
-    best = None  # (objective, restart_index, positions, history, iters, converged)
-    for restart in range(config.restarts):
-        if restart == 0:
-            x0 = np.asarray(constraints.uniform_geometry().positions, dtype=float)
-        else:
-            rng = np.random.default_rng(config.seed + restart)
-            x0 = project_positions(np.sort(rng.uniform(-b, b, n)), constraints)
-        x, obj, history, iters, converged = _search_from(
-            x0, alpha, config, constraints
-        )
-        if best is None or obj > best[0]:
-            best = (obj, restart, x, history, iters, converged)
+    obj = _lambda_max(_gram(_steering(x, alpha)))
+    histories = [[_to_db(v)] for v in obj]
+    iterations = np.zeros(config.restarts, dtype=int)
+    converged = np.zeros(config.restarts, dtype=bool)
+    active = np.arange(config.restarts)
+    for iteration in range(1, config.max_outer_iterations + 1):
+        x_active, obj_active = x[active], obj[active]
+        update(x_active, obj_active, alpha, config, constraints)
+        x[active], obj[active] = x_active, obj_active
+        iterations[active] = iteration
+        for restart, value in zip(active, obj_active):
+            history = histories[restart]
+            history.append(_to_db(value))
+            converged[restart] = history[-1] - history[-2] < config.gain_tolerance_db
+        active = active[~converged[active]]
+        if active.size == 0:
+            break
 
-    obj, restart, x, history, iters, converged = best
-    geometry = constraints.geometry(x.tolist())
+    restart = int(np.argmax(obj))
+    geometry = constraints.geometry(x[restart].tolist())
     weights = optimal_weights(geometry, doas)
     gain = sum_beam_gain(geometry, weights, doas)
     return BeamformingSolution(
@@ -249,98 +274,110 @@ def optimize_movable(
         weights=weights,
         gain_linear=gain.linear,
         gain_db=gain.db,
-        converged=converged,
-        iterations=iters,
+        converged=bool(converged[restart]),
+        iterations=int(iterations[restart]),
         strategy_used=config.strategy,
         restart_index=restart,
-        gain_history_db=tuple(history),
+        gain_history_db=tuple(histories[restart]),
     )
 
 
-def _search_from(x0, alpha, config, constraints):
-    """One restart of the alternating search. Returns final state."""
-    x = np.array(x0, dtype=float)
-    obj = _eig_objective(x, alpha)
-    history = [_to_db(obj)]
-    iterations = 0
-    converged = False
-    for iterations in range(1, config.max_outer_iterations + 1):
-        if config.strategy is Strategy.GRADIENT:
-            x, obj = _gradient_step(x, obj, alpha, config, constraints)
-        else:
-            x, obj = _coordinate_round(x, obj, alpha, config, constraints)
-        history.append(_to_db(obj))
-        if history[-1] - history[-2] < config.gain_tolerance_db:
-            converged = True
-            break
-    return x, obj, history, iterations, converged
+def _gradient_steps(x, obj, alpha, config, constraints):
+    """One projected gradient ascent step with step halving, per row.
 
-
-def _gradient_step(x, obj, alpha, config, constraints):
-    """One projected gradient ascent step with step halving."""
-    lam, u, s = _eig_weights(x, alpha)
-    w = s @ u
-    w = w / np.linalg.norm(w)
-    g = (1j * alpha * (w.conj() @ s).conj())[None, :] * s * w.conj()[:, None]
-    grad = 2.0 * np.sum(g.real, axis=1)
+    x (rows, N) and obj (rows,) are updated in place. Every row starts at
+    the same step; a row leaves the halving loop once its projected step
+    raises its objective, and keeps its position if no step does.
+    """
+    s = _steering(x, alpha)
+    _, vecs = np.linalg.eigh(_gram(s))
+    w = np.einsum("rnk,rk->rn", s, vecs[:, :, -1])
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    grad = _gradient(s, w, alpha)
     step = config.step_size * constraints.wavelength
+    pending = np.arange(x.shape[0])
     for _ in range(config.max_step_halvings + 1):
-        candidate = project_positions(x + step * grad, constraints)
-        cand_obj = _eig_objective(candidate, alpha)
-        if cand_obj > obj:
-            return candidate, cand_obj
+        candidate = project_positions(x[pending] + step * grad[pending], constraints)
+        value = _lambda_max(_gram(_steering(candidate, alpha)))
+        better = value > obj[pending]
+        x[pending[better]] = candidate[better]
+        obj[pending[better]] = value[better]
+        pending = pending[~better]
+        if pending.size == 0:
+            break
         step /= 2
-    return x, obj
 
 
-def _coordinate_round(x, obj, alpha, config, constraints):
-    """One Gauss-Seidel sweep: grid line search coordinate by coordinate."""
+def _coordinate_sweeps(x, obj, alpha, config, constraints):
+    """One Gauss-Seidel sweep of grid line searches, coordinate by coordinate.
+
+    x (rows, N) and obj (rows,) are updated in place. For coordinate i each
+    row scans a grid from its lower to its upper feasible limit, with the
+    upper limit appended when the grid misses it, and moves to the first
+    best candidate if that beats its objective. Moving element i replaces
+    row s_i of the steering matrix, so a candidate at c scores
+    lambda_max(G - s_i^H s_i + s_c^H s_c): O(K^2) per candidate.
+    """
     d = constraints.min_spacing
     b = constraints.position_bound
     res = config.grid_resolution * constraints.wavelength
-    n = x.shape[0]
-    x = np.array(x, dtype=float)
+    rows, n = x.shape
+    k = alpha.shape[0]
+    block = max(1, _BLOCK_ENTRIES // (k * k))
     for i in range(n):
-        lo = x[i - 1] + d if i > 0 else -b
-        hi = x[i + 1] - d if i < n - 1 else b
-        lo = max(lo, -b)
-        hi = min(hi, b)
-        if hi < lo:
-            continue
-        count = int(math.floor((hi - lo) / res)) + 1
-        candidates = lo + res * np.arange(count)
-        if candidates[-1] < hi - 1e-15:
-            candidates = np.append(candidates, hi)
-        trial = np.tile(x, (candidates.shape[0], 1))
-        trial[:, i] = candidates
-        values = _eig_objective_batch(trial, alpha)
-        k = int(np.argmax(values))
-        if values[k] > obj:
-            x[i] = candidates[k]
-            obj = float(values[k])
-    return x, obj
+        lo = np.maximum(x[:, i - 1] + d, -b) if i > 0 else np.full(rows, -b)
+        hi = np.minimum(x[:, i + 1] - d, b) if i < n - 1 else np.full(rows, b)
+        valid = hi >= lo
+        grid = np.where(valid, np.floor((hi - lo) / res) + 1, 0).astype(int)
+        counts = grid + (valid & (lo + res * (grid - 1) < hi - 1e-15))
+        ends = np.cumsum(counts)
+        s = _steering(x, alpha)
+        # recomputed from the positions for every coordinate, so rank-2
+        # updates never accumulate rounding error
+        rest = _gram(s) - s[:, i, :, None].conj() * s[:, i, None, :]
+        best = obj.copy()
+        best_at = x[:, i].copy()
+        for start in range(0, int(ends[-1]), block):
+            pair = np.arange(start, min(start + block, int(ends[-1])))
+            row = np.searchsorted(ends, pair, side="right")
+            index = pair - (ends[row] - counts[row])
+            candidate = np.where(index == grid[row], hi[row], lo[row] + res * index)
+            sc = _steering(candidate, alpha)
+            gram = rest[row]
+            gram += sc[:, :, None].conj() * sc[:, None, :]
+            value = _lambda_max(gram)
+            # first maximum of every row's run of pairs in this block
+            opens = np.diff(row, prepend=-1) != 0
+            head = np.flatnonzero(opens)
+            peak = np.maximum.reduceat(value, head)[np.cumsum(opens) - 1]
+            at_peak = np.where(value == peak, np.arange(pair.size), pair.size)
+            pick = np.minimum.reduceat(at_peak, head)
+            owner = row[head]
+            better = value[pick] > best[owner]
+            best[owner[better]] = value[pick[better]]
+            best_at[owner[better]] = candidate[pick[better]]
+        x[:, i] = best_at
+        obj[:] = best
 
 
-def _eig_objective(positions, alpha):
-    """Largest eigenvalue of the gain matrix, via the K x K Gram form."""
-    s = np.exp(1j * np.outer(positions, alpha))
-    gram = s.conj().T @ s
-    return float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
+def _steering(positions, alpha):
+    """Steering matrices exp(j x_n alpha_k), shape (..., N, K)."""
+    return np.exp(1j * positions[..., None] * alpha)
 
 
-def _eig_objective_batch(position_rows, alpha):
-    s = np.exp(1j * position_rows[:, :, None] * alpha[None, None, :])
-    gram = np.einsum("mnk,mnl->mkl", s.conj(), s)
-    gram = (gram + np.conj(np.swapaxes(gram, 1, 2))) / 2
-    return np.linalg.eigvalsh(gram)[:, -1]
+def _gram(s):
+    """K x K Gram matrices S^H S, whose eigenvalues are the gain matrix's nonzero ones."""
+    return np.matmul(np.swapaxes(s, -1, -2).conj(), s)
 
 
-def _eig_weights(positions, alpha):
-    """Dominant Gram eigenpair plus the steering matrix it came from."""
-    s = np.exp(1j * np.outer(positions, alpha))
-    gram = s.conj().T @ s
-    vals, vecs = np.linalg.eigh((gram + gram.conj().T) / 2)
-    return float(vals[-1]), vecs[:, -1], s
+def _lambda_max(gram):
+    return np.linalg.eigvalsh(gram)[..., -1]
+
+
+def _gradient(s, w, alpha):
+    """position_gradient for stacked steering matrices (..., N, K) and weights (..., N)."""
+    g = np.einsum("...n,...nk->...k", w.conj(), s)
+    return 2.0 * (w.conj() * np.einsum("...nk,...k->...n", s, 1j * alpha * g.conj())).real
 
 
 def _to_db(linear: float) -> float:

@@ -110,6 +110,15 @@ class TestRun:
         assert main(run_args(config, tmp_path)) == 2
         assert f"optimizer.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["step_size", "grid_resolution", "gain_tolerance_db"])
+    def test_non_finite_optimizer_float_exits_2_naming_the_field(
+        self, tmp_path, capsys, field
+    ):
+        bad = GOOD_CONFIG.replace("restarts: 4", f"{field}: .inf")
+        config = write_config(tmp_path, bad)
+        assert main(run_args(config, tmp_path)) == 2
+        assert f"optimizer.{field}" in capsys.readouterr().err
+
     def test_unknown_key_exits_2_and_names_the_key(self, tmp_path, capsys):
         config = write_config(tmp_path, GOOD_CONFIG + "turbo: true\n")
         assert main(run_args(config, tmp_path)) == 2

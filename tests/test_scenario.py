@@ -24,3 +24,10 @@ def test_whole_float_optimizer_count_is_accepted_as_int():
     config = scenario_from_mapping(minimal_mapping(optimizer={"restarts": 2.0}))
     assert config.optimizer.restarts == 2
     assert type(config.optimizer.restarts) is int
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("field", ["step_size", "grid_resolution", "gain_tolerance_db"])
+def test_non_finite_optimizer_float_is_rejected_with_its_path(field, value):
+    with pytest.raises(ConfigurationError, match=rf"optimizer\.{field}\b"):
+        scenario_from_mapping(minimal_mapping(optimizer={field: value}))
