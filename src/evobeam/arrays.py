@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, check_count, check_positive_finite
 
 # Linear gains below this floor are reported as -inf dB.
 GAIN_FLOOR = 1e-300
@@ -107,19 +107,14 @@ class ArrayConstraints:
     position_bound: float | None = None
 
     def __post_init__(self):
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValidationError(f"wavelength must be positive, got {self.wavelength}")
-        if int(self.num_elements) != self.num_elements or self.num_elements < 1:
-            raise ValidationError(f"num_elements must be a positive integer, got {self.num_elements}")
-        object.__setattr__(self, "num_elements", int(self.num_elements))
+        check_positive_finite("wavelength", self.wavelength)
+        object.__setattr__(self, "num_elements", check_count("num_elements", self.num_elements, 1))
         if self.min_spacing is None:
             object.__setattr__(self, "min_spacing", self.wavelength / 2)
         if self.position_bound is None:
             object.__setattr__(self, "position_bound", 5 * self.wavelength)
-        if not (self.min_spacing > 0 and math.isfinite(self.min_spacing)):
-            raise ValidationError(f"min_spacing must be positive, got {self.min_spacing}")
-        if not (self.position_bound > 0 and math.isfinite(self.position_bound)):
-            raise ValidationError(f"position_bound must be positive, got {self.position_bound}")
+        check_positive_finite("min_spacing", self.min_spacing)
+        check_positive_finite("position_bound", self.position_bound)
         n, d, b = self.num_elements, self.min_spacing, self.position_bound
         if n * d > 2 * b + d:
             raise ConfigurationError(

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number checks configs use."""
+
+import numbers
+import sys
 
 
 class EvobeamError(Exception):
@@ -15,3 +18,27 @@ class ConfigurationError(EvobeamError, ValueError):
 
 class ProtocolError(EvobeamError, RuntimeError):
     """Lifecycle bookkeeping was driven out of order."""
+
+
+def check_count(name, value, minimum) -> int:
+    """value as an int, or ValidationError naming the field.
+
+    Accepts integers and whole floats (2.0) from minimum up to the largest
+    float; bools, fractions, infinities, NaN and non-numbers fail.
+    """
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not whole or not minimum <= value <= sys.float_info.max:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_positive_finite(name, value):
+    """Raise ValidationError naming the field unless value is a real in (0, inf)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")

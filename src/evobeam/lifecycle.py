@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .arrays import ArrayConstraints, DoASet, sum_beam_gain
-from .channel import CsiSnapshotBatch, generate_trajectory, synthesize_csi
+from .channel import generate_trajectory, synthesize_csi
 from .errors import EvobeamError, ProtocolError, ValidationError
 from .estimation import DoaEstimate, estimate_doas, sample_covariance
 from .optimize import (
@@ -28,9 +28,8 @@ from .optimize import (
     fixed_baseline,
     optimize_movable,
 )
-from .scenario import ScenarioConfig
+from .scenario import DEFAULT_RELATIVE_DROP_DB, ScenarioConfig
 
-DEFAULT_RELATIVE_DROP_DB = 3.0
 MAX_TRAINING_ROUNDS = 5
 
 # slack applied wherever a recovered gain is compared against the baseline,
@@ -100,12 +99,11 @@ class EvaluationVerdict:
 
 @dataclass(frozen=True)
 class AgentReport:
-    """What one agent run did: status, a summary line, fields it wrote."""
+    """What one agent run did: status and a summary line."""
 
     role: AgentRole
     ok: bool
     message: str
-    produced: tuple = ()
     reason: str = ""
 
 
@@ -190,7 +188,6 @@ class Blackboard:
     stage: AgentRole | _Idle = IDLE
     deployed_solution: BeamformingSolution | None = None
     baseline_solution: BeamformingSolution | None = None
-    latest_csi: CsiSnapshotBatch | None = None
     latest_estimate: DoaEstimate | None = None
     selected_strategy: Strategy | None = None
     candidate_solution: BeamformingSolution | None = None
@@ -245,7 +242,8 @@ def monitoring_check(
 
     Fires BelowBaseline when the deployed gain is strictly below the fixed
     baseline, otherwise RelativeDrop when the gain fell by more than the
-    threshold since the last check. Equal gains never trigger.
+    threshold since the last check. Equal gains never trigger. The decision
+    carries the two gains it compared.
     """
     for name, value in (
         ("deployed_gain_db", deployed_gain_db),
@@ -257,11 +255,14 @@ def monitoring_check(
     if not relative_drop_threshold >= 0:
         raise ValidationError("relative_drop_threshold must be >= 0")
     if deployed_gain_db < baseline_gain_db:
-        return TriggerDecision(True, TriggerReason.BELOW_BASELINE)
-    drop = last_deployed_gain_db - deployed_gain_db
-    if drop > relative_drop_threshold:
-        return TriggerDecision(True, TriggerReason.RELATIVE_DROP)
-    return TriggerDecision(False, None)
+        reason = TriggerReason.BELOW_BASELINE
+    elif last_deployed_gain_db - deployed_gain_db > relative_drop_threshold:
+        reason = TriggerReason.RELATIVE_DROP
+    else:
+        reason = None
+    return TriggerDecision(
+        reason is not None, reason, float(deployed_gain_db), float(baseline_gain_db)
+    )
 
 
 def agent_execute(role: AgentRole, blackboard: Blackboard, services: EpisodeServices) -> AgentReport:
@@ -383,13 +384,13 @@ def _format_angles(angles):
     return "[" + ", ".join(f"{a:.1f}" for a in angles) + "]"
 
 
-def _run_data_collection(blackboard, services):
-    if services.true_angles is None:
-        return _missing(AgentRole.DATA_COLLECTION, "true_angles")
-    geometry = _sensing_geometry(blackboard)
-    seed = services.stream_seed(
-        _STREAM_COLLECT_CSI, blackboard.step_index, blackboard.consecutive_failures
-    )
+def _sense(geometry, blackboard, services, stream):
+    """Synthesize this step's CSI on geometry and estimate the directions.
+
+    The noise seed is (stream, step, consecutive failures), so a retry
+    draws fresh noise.
+    """
+    seed = services.stream_seed(stream, blackboard.step_index, blackboard.consecutive_failures)
     csi = synthesize_csi(
         geometry, services.true_angles, services.snr_db, services.num_snapshots, seed=seed
     )
@@ -400,16 +401,21 @@ def _run_data_collection(blackboard, services):
         services.grid_resolution_deg,
         services.angle_bounds,
     )
-    blackboard.latest_csi = csi
+    return estimate
+
+
+def _run_data_collection(blackboard, services):
+    if services.true_angles is None:
+        return _missing(AgentRole.DATA_COLLECTION, "true_angles")
+    estimate = _sense(_sensing_geometry(blackboard), blackboard, services, _STREAM_COLLECT_CSI)
     blackboard.latest_estimate = estimate
     return AgentReport(
         role=AgentRole.DATA_COLLECTION,
         ok=True,
         message=(
-            f"collected {csi.num_snapshots} snapshots, "
+            f"collected {services.num_snapshots} snapshots, "
             f"estimated directions {_format_angles(estimate.angles.angles_deg)}"
         ),
-        produced=("latest_csi", "latest_estimate"),
     )
 
 
@@ -424,7 +430,6 @@ def _run_model_selection(blackboard, services):
         role=AgentRole.MODEL_SELECTION,
         ok=True,
         message=f"problem size {k}x{n}, selected {strategy.value} search",
-        produced=("selected_strategy",),
     )
 
 
@@ -453,7 +458,6 @@ def _run_training(blackboard, services):
             f"optimized positions and weights, gain {candidate.gain_db:.4f} dB "
             f"in {candidate.iterations} iterations"
         ),
-        produced=("candidate_solution",),
     )
 
 
@@ -486,7 +490,6 @@ def _run_evaluation(blackboard, services):
             f"candidate {candidate.gain_db:.4f} dB vs baseline {baseline.gain_db:.4f} dB: "
             f"{summary}; converged={candidate.converged}, iterations={candidate.iterations}"
         ),
-        produced=("baseline_solution", "evaluation_verdict"),
     )
 
 
@@ -531,7 +534,6 @@ def _run_deployment(blackboard, services):
         role=AgentRole.DEPLOYMENT,
         ok=True,
         message=f"deployed candidate at {candidate.gain_db:.4f} dB",
-        produced=("deployed_solution",),
     )
 
 
@@ -540,55 +542,29 @@ def _run_monitoring(blackboard, services):
         return _missing(AgentRole.MONITORING, "deployed_solution")
     if services.true_angles is None:
         return _missing(AgentRole.MONITORING, "true_angles")
-    geometry = blackboard.deployed_solution.geometry
-    seed = services.stream_seed(
-        _STREAM_MONITOR_CSI, blackboard.step_index, blackboard.consecutive_failures
-    )
-    csi = synthesize_csi(
-        geometry, services.true_angles, services.snr_db, services.num_snapshots, seed=seed
-    )
-    estimate = estimate_doas(
-        sample_covariance(csi),
-        geometry,
-        services.num_sources,
-        services.grid_resolution_deg,
-        services.angle_bounds,
-    )
-    deployed_db = _gain_db(blackboard.deployed_solution, estimate.angles)
+    deployed = blackboard.deployed_solution
+    estimate = _sense(deployed.geometry, blackboard, services, _STREAM_MONITOR_CSI)
+    deployed_db = _gain_db(deployed, estimate.angles)
     baseline = fixed_baseline(estimate.angles, services.constraints)
-    last = (
-        blackboard.last_deployed_gain_db
-        if blackboard.last_deployed_gain_db is not None
-        else deployed_db
-    )
-    raw = monitoring_check(
-        deployed_db, baseline.gain_db, last, services.relative_drop_threshold_db
-    )
-    decision = TriggerDecision(
-        trigger=raw.trigger,
-        reason=raw.reason,
-        deployed_gain_db=float(deployed_db),
-        baseline_gain_db=float(baseline.gain_db),
-    )
-    blackboard.latest_csi = csi
+    last = blackboard.last_deployed_gain_db
+    last = deployed_db if last is None else last
+    threshold = services.relative_drop_threshold_db
+    decision = monitoring_check(deployed_db, baseline.gain_db, last, threshold)
     blackboard.latest_estimate = estimate
     blackboard.baseline_solution = baseline
     blackboard.trigger_decision = decision
-    blackboard.last_deployed_gain_db = float(deployed_db)
-    produced = ["latest_csi", "latest_estimate", "baseline_solution", "trigger_decision"]
-    if not decision.trigger:
-        _append_step_record(blackboard, services, evolved=False, reason=None)
-        produced.append("metrics_history")
-        state = "healthy"
-    else:
+    blackboard.last_deployed_gain_db = decision.deployed_gain_db
+    if decision.trigger:
         state = f"trigger {decision.reason.value}"
+    else:
+        _append_step_record(blackboard, services, evolved=False, reason=None)
+        state = "healthy"
     return AgentReport(
         role=AgentRole.MONITORING,
         ok=True,
         message=(
             f"deployed {deployed_db:.4f} dB vs baseline {baseline.gain_db:.4f} dB: {state}"
         ),
-        produced=tuple(produced),
     )
 
 
@@ -637,9 +613,8 @@ def _drive_cycle(blackboard, services, router):
         report = agent_execute(role, blackboard, services)
         nxt = supervisor_next(blackboard, report)
         if router is not None:
-            # the routing relation is a function: the deterministic result
-            # is the only legal transition, so the router is consulted (it
-            # may delegate to an LLM and log) but cannot redirect the run
+            # an observer: the deterministic route is the only legal one,
+            # so whatever the router returns is ignored
             router(blackboard, report, nxt)
     raise ProtocolError("stage machine failed to go idle within the step")
 
@@ -656,10 +631,10 @@ def run_episode(scenario: ScenarioConfig, router=None) -> EpisodeResult:
 
     Args:
         scenario: validated scenario.
-        router: optional hook called as router(blackboard, report,
-            next_stage) after every transition; its proposal is honored
-            only when it agrees with the deterministic route. Used by the
-            LLM routing adapter.
+        router: optional observer called as router(blackboard, report,
+            next_stage) after every transition. Its return value is
+            ignored: the run always follows the deterministic route. Used
+            by the LLM routing adapter to cross-check each transition.
 
     Returns:
         EpisodeResult with one metrics record per step, the completed

@@ -1,23 +1,26 @@
-"""Optional delegation of supervisor routing to a chat-completions endpoint.
+"""Optional LLM cross-check of supervisor routing via a chat-completions endpoint.
 
 The endpoint is asked, once per transition, which stage should run next.
 Its answer is accepted only when it parses to exactly one role name and
 agrees with the deterministic route; every other outcome (parse failure,
-transport error, timeout, disagreement) falls back to the deterministic
-supervisor, so episodes never depend on network availability and always
-follow a legal transition.
+transport error, timeout, redirect, disagreement) falls back to the
+deterministic supervisor. The router only observes: the episode always
+follows the deterministic route, so it never depends on the network, and
+the decisions record how often the endpoint agreed.
 """
 
 from __future__ import annotations
 
+import functools
+import http.client
+import json
 import logging
 import os
 import re
+import urllib.request
 from dataclasses import dataclass, field
 
-import requests
-
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, check_count, check_positive_finite
 from .lifecycle import IDLE, ROLE_NAMES, AgentRole
 from .scenario import LlmSettings
 
@@ -29,6 +32,19 @@ _MESSAGE_CLIP = 500
 _IDLE_NAME = "Idle"
 _NAME_LOOKUP = {name.lower(): AgentRole(name) for name in ROLE_NAMES}
 _NAME_LOOKUP[_IDLE_NAME.lower()] = IDLE
+
+
+class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
+    """Turn every 3xx into an HTTPError, so the key only goes to base_url."""
+
+    def redirect_request(self, *args):
+        return None
+
+
+@functools.cache
+def _opener():
+    """One shared opener, built on first use (from Python 3.12 that loads the CA bundle)."""
+    return urllib.request.build_opener(_RefuseRedirects)
 
 
 @dataclass(frozen=True)
@@ -46,14 +62,12 @@ class EndpointConfig:
     max_retries: int = 2
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ConfigurationError("base_url must be a nonempty string")
-        if not self.model_name:
-            raise ConfigurationError("model_name must be a nonempty string")
-        if not self.timeout_s > 0:
-            raise ConfigurationError("timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
+        for name in ("base_url", "model_name"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value):
+                raise ConfigurationError(f"{name} must be a nonempty string, got {value!r}")
+        check_positive_finite("timeout_s", self.timeout_s)
+        object.__setattr__(self, "max_retries", check_count("max_retries", self.max_retries, 0))
 
     @classmethod
     def from_settings(cls, settings: LlmSettings) -> "EndpointConfig":
@@ -164,7 +178,13 @@ def decide_next_agent(prompt: RoutingPrompt, config: EndpointConfig) -> RoutingD
 
 
 def _post_chat(prompt_text, config):
-    """One chat-completions request with retries; None on any failure."""
+    """One chat-completions request with retries; None on any failure.
+
+    Failures: a status other than 200 (a refused redirect; none at all
+    from a non-HTTP URL), a timeout or refused connection, a broken HTTP
+    exchange, a body without choices[0].message.content. HTTPS verifies
+    certificates through ssl's default context.
+    """
     url = config.base_url.rstrip("/") + "/chat/completions"
     headers = {
         "Authorization": f"Bearer {config.api_key}",
@@ -175,20 +195,25 @@ def _post_chat(prompt_text, config):
         "messages": [{"role": "user", "content": prompt_text}],
         "temperature": 0,
     }
+    data = json.dumps(body).encode("utf-8")
     for _ in range(config.max_retries + 1):
         try:
-            response = requests.post(url, json=body, headers=headers, timeout=config.timeout_s)
-            if response.status_code != 200:
-                continue
-            data = response.json()
-            return str(data["choices"][0]["message"]["content"])
-        except (requests.RequestException, ValueError, KeyError, IndexError, TypeError):
+            request = urllib.request.Request(url, data=data, headers=headers)
+            with _opener().open(request, timeout=config.timeout_s) as response:
+                if response.status != 200:
+                    continue
+                reply = json.loads(response.read())
+            return str(reply["choices"][0]["message"]["content"])
+        except (OSError, http.client.HTTPException, ValueError, LookupError, TypeError):
             continue
     return None
 
 
 def make_router(config: EndpointConfig, decision_log=None):
     """Build a run_episode router that consults the endpoint per transition.
+
+    The router is an observer: it returns nothing, and the episode follows
+    the deterministic route whatever the endpoint answers.
 
     Args:
         config: endpoint to query.
@@ -200,6 +225,5 @@ def make_router(config: EndpointConfig, decision_log=None):
         decision = decide_next_agent(prompt, config)
         if decision_log is not None:
             decision_log.append(decision)
-        return decision.role
 
     return router

@@ -10,7 +10,6 @@ dominant eigenvalue.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -26,7 +25,7 @@ from .arrays import (
     steering_matrix,
     sum_beam_gain,
 )
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, check_count, check_positive_finite
 
 # Batched temporaries (the candidate Gram matrices of a coordinate sweep,
 # the block-mean tables of the projection) are built in blocks of at most
@@ -71,21 +70,10 @@ class OptimizerConfig:
             ("max_outer_iterations", 1),
             ("max_step_halvings", 0),
         ):
-            value = getattr(self, name)
-            whole = isinstance(value, numbers.Integral) or (
-                isinstance(value, float) and value.is_integer()
-            )
-            if isinstance(value, bool) or not whole or value < minimum:
-                raise ValidationError(
-                    f"optimizer.{name} must be an integer >= {minimum}, got {value!r}"
-                )
-            object.__setattr__(self, name, int(value))
+            count = check_count(f"optimizer.{name}", getattr(self, name), minimum)
+            object.__setattr__(self, name, count)
         for name in ("step_size", "grid_resolution", "gain_tolerance_db"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValidationError(
-                    f"optimizer.{name} must be a positive finite number, got {value!r}"
-                )
+            check_positive_finite(f"optimizer.{name}", getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ Loader errors carry the dotted path of the offending field.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -52,7 +53,7 @@ from .channel import (
     ScriptedDrift,
     TrajectoryConfig,
 )
-from .errors import ConfigurationError, EvobeamError
+from .errors import ConfigurationError, EvobeamError, check_count, check_positive_finite
 from .estimation import DEFAULT_GRID_RESOLUTION_DEG
 from .optimize import OptimizerConfig, Strategy
 
@@ -62,6 +63,7 @@ DEFAULT_INITIAL_ANGLES = (60.0, 90.0, 120.0)
 DEFAULT_NUM_STEPS = 50
 DEFAULT_DRIFT_SIGMA = 1.0
 DEFAULT_SNR_DB = 10.0
+DEFAULT_RELATIVE_DROP_DB = 3.0
 DEFAULT_API_KEY_ENV = "EVOBEAM_API_KEY"
 
 
@@ -80,16 +82,12 @@ class LlmSettings:
     max_retries: int = 2
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ConfigurationError("llm.base_url must be a nonempty string")
-        if not self.model_name:
-            raise ConfigurationError("llm.model_name must be a nonempty string")
-        if not self.api_key_env:
-            raise ConfigurationError("llm.api_key_env must be a nonempty string")
-        if not self.timeout_s > 0:
-            raise ConfigurationError("llm.timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ConfigurationError("llm.max_retries must be >= 0")
+        for name in ("base_url", "model_name", "api_key_env"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value):
+                raise ConfigurationError(f"llm.{name} must be a nonempty string, got {value!r}")
+        check_positive_finite("llm.timeout_s", self.timeout_s)
+        object.__setattr__(self, "max_retries", check_count("llm.max_retries", self.max_retries, 0))
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,7 @@ class ScenarioConfig:
     trajectory: TrajectoryConfig
     constraints: ArrayConstraints = field(default_factory=ArrayConstraints)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    relative_drop_threshold_db: float = 3.0
+    relative_drop_threshold_db: float = DEFAULT_RELATIVE_DROP_DB
     snr_db: float = DEFAULT_SNR_DB
     num_snapshots: int = DEFAULT_SNAPSHOTS
     grid_resolution_deg: float = DEFAULT_GRID_RESOLUTION_DEG
@@ -116,13 +114,11 @@ class ScenarioConfig:
             raise ConfigurationError("monitoring.relative_drop_threshold_db must be finite and >= 0")
         if not math.isfinite(self.snr_db):
             raise ConfigurationError("csi.snr_db must be finite")
-        if self.num_snapshots < 1:
-            raise ConfigurationError("csi.num_snapshots must be >= 1")
-        if not self.grid_resolution_deg > 0:
-            raise ConfigurationError("estimation.grid_resolution_deg must be positive")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ConfigurationError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(
+            self, "num_snapshots", check_count("csi.num_snapshots", self.num_snapshots, 1)
+        )
+        check_positive_finite("estimation.grid_resolution_deg", self.grid_resolution_deg)
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
         if len(self.trajectory.initial_angles) >= self.constraints.num_elements:
             raise ConfigurationError(
                 "trajectory.initial_angles: source count must be below num_elements"
@@ -200,7 +196,10 @@ def scenario_from_mapping(data) -> ScenarioConfig:
     )
     if monitoring:
         kwargs["relative_drop_threshold_db"] = _number(
-            monitoring, "relative_drop_threshold_db", "monitoring.relative_drop_threshold_db", default=3.0
+            monitoring,
+            "relative_drop_threshold_db",
+            "monitoring.relative_drop_threshold_db",
+            default=DEFAULT_RELATIVE_DROP_DB,
         )
         _reject_unknown(monitoring, {"relative_drop_threshold_db"}, "monitoring")
     if csi:
@@ -223,14 +222,15 @@ def scenario_from_mapping(data) -> ScenarioConfig:
         raise ConfigurationError(str(exc)) from exc
 
 
-def _section(data, key, required=False):
+def _section(data, key, required=False, path=None):
+    path = path or key
     value = data.get(key)
     if value is None:
         if required:
-            raise ConfigurationError(f"{key}: section is required")
+            raise ConfigurationError(f"{path}: section is required")
         return {}
     if not isinstance(value, dict):
-        raise ConfigurationError(f"{key}: expected a mapping")
+        raise ConfigurationError(f"{path}: expected a mapping")
     return value
 
 
@@ -244,8 +244,7 @@ def _number(section, key, path, default=None, integer=False):
     value = section.get(key, default)
     if value is None:
         raise ConfigurationError(f"{path}: field is required")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
+    _check_finite(value, path)
     if integer:
         if int(value) != value:
             raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
@@ -261,12 +260,17 @@ def _angle_list(section, key, path, required=False):
         return None
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigurationError(f"{path}: expected a nonempty list of angles")
-    out = []
     for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigurationError(f"{path}[{i}]: expected a number, got {item!r}")
-        out.append(float(item))
-    return tuple(out)
+        _check_finite(item, f"{path}[{i}]")
+    return tuple(float(item) for item in value)
+
+
+def _check_finite(value, path):
+    """Require a finite int or float; an int beyond the float range is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _build_trajectory(section) -> TrajectoryConfig:
@@ -277,7 +281,7 @@ def _build_trajectory(section) -> TrajectoryConfig:
     except EvobeamError as exc:
         raise ConfigurationError(f"trajectory.initial_angles: {exc}") from exc
     bounds = _angle_list(section, "angle_bounds", "trajectory.angle_bounds")
-    drift_section = _section(section, "drift")
+    drift_section = _section(section, "drift", path="trajectory.drift")
     kind = drift_section.get("kind", "random_walk")
     if kind == "random_walk":
         _reject_unknown(drift_section, {"kind", "sigma_deg_per_step"}, "trajectory.drift")
@@ -310,11 +314,11 @@ def _build_trajectory(section) -> TrajectoryConfig:
     try:
         return TrajectoryConfig(**kwargs)
     except EvobeamError as exc:
-        raise ConfigurationError(f"trajectory: {exc}") from exc
+        raise _located(exc, TrajectoryConfig, "trajectory") from exc
 
 
 def _build_optimizer(section) -> OptimizerConfig:
-    if section and "strategy" in section:
+    if "strategy" in section:
         section = dict(section)
         raw = section.pop("strategy")
         try:
@@ -323,8 +327,6 @@ def _build_optimizer(section) -> OptimizerConfig:
             raise ConfigurationError(
                 f"optimizer.strategy: expected gradient or coordinate, got {raw!r}"
             ) from None
-        cfg = _build_dataclass(OptimizerConfig, section, "optimizer")
-        return cfg
     return _build_dataclass(OptimizerConfig, section, "optimizer")
 
 
@@ -335,7 +337,19 @@ def _build_dataclass(cls, section, path):
     try:
         return cls(**section)
     except (EvobeamError, TypeError) as exc:
-        message = str(exc)
-        if not message.startswith(f"{path}."):
-            message = f"{path}: {message}"
-        raise ConfigurationError(message) from exc
+        raise _located(exc, cls, path) from exc
+
+
+def _located(exc, cls, path):
+    """exc as a ConfigurationError whose message starts with its field path.
+
+    A message that opens with a field name of cls gets that field's dotted
+    path; one that already carries the path is kept; any other message is
+    put under the section.
+    """
+    message = str(exc)
+    if message.split(" ", 1)[0] in {f.name for f in fields(cls)}:
+        return ConfigurationError(f"{path}.{message}")
+    if message.startswith(f"{path}."):
+        return ConfigurationError(message)
+    return ConfigurationError(f"{path}: {message}")

@@ -20,17 +20,23 @@ class _Handler(BaseHTTPRequestHandler):
             "body": json.loads(body) if body else None,
         }
         self.server.seen.append(record)
-        status, payload, delay = self.server.next_response()
+        status, payload, delay, *extra = self.server.next_response()
+        headers = extra[0] if extra else {}
         if delay:
             time.sleep(delay)
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
+            for name, value in headers.items():
+                self.send_header(name, value)
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
             self.wfile.write(payload)
         except (BrokenPipeError, ConnectionResetError):
             pass  # the client timed out first, as the timeout tests intend
+
+    # a client that followed a redirect the way browsers do arrives with GET
+    do_GET = do_POST
 
     def log_message(self, *args):
         pass
@@ -70,7 +76,7 @@ class MockEndpoint:
         self.server.script = [(200, payload, 0.0)]
 
     def reply_script(self, *responses):
-        """Each response is (status, payload_bytes, delay_s); the last repeats."""
+        """Each response is (status, payload_bytes, delay_s[, headers]); the last repeats."""
         self.server.script = list(responses)
 
     def close(self):

@@ -91,6 +91,18 @@ def test_infeasible_constraint_set_is_a_configuration_error():
     ArrayConstraints(num_elements=21).uniform_geometry()
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5, True, 0, 10**400])
+def test_non_integer_element_count_is_a_validation_error(value):
+    with pytest.raises(ValidationError, match=r"^num_elements must be an integer >= 1"):
+        ArrayConstraints(num_elements=value)
+
+
+def test_whole_float_element_count_becomes_int():
+    constraints = ArrayConstraints(num_elements=4.0)
+    assert constraints.num_elements == 4
+    assert type(constraints.num_elements) is int
+
+
 def test_doa_set_validation():
     with pytest.raises(ValidationError):
         DoASet(())

@@ -1,8 +1,10 @@
 """Command-line contract: exit codes, output files, determinism, key hygiene."""
 
 import json
+import math
 
 import pytest
+import yaml
 
 from evobeam.arrays import ArrayConstraints, DoASet
 from evobeam.cli import main
@@ -118,6 +120,38 @@ class TestRun:
         config = write_config(tmp_path, bad)
         assert main(run_args(config, tmp_path)) == 2
         assert f"optimizer.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("seed", math.inf),
+            ("seed", math.nan),
+            ("trajectory.num_steps", math.inf),
+            ("trajectory.num_steps", math.nan),
+            ("csi.num_snapshots", math.inf),
+            ("estimation.grid_resolution_deg", math.inf),
+            ("constraints.num_elements", math.inf),
+            ("constraints.num_elements", math.nan),
+            ("llm.max_retries", 1.5),
+            ("llm.max_retries", True),
+            ("llm.timeout_s", math.inf),
+        ],
+        ids=str,
+    )
+    def test_bad_number_exits_2_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, path, value
+    ):
+        document = yaml.safe_load(GOOD_CONFIG)
+        document["llm"] = {"base_url": "http://127.0.0.1:1/v1", "model_name": "m"}
+        *sections, key = path.split(".")
+        node = document
+        for name in sections:
+            node = node.setdefault(name, {})
+        node[key] = value
+        config = write_config(tmp_path, yaml.safe_dump(document))
+        monkeypatch.setenv("EVOBEAM_API_KEY", SENTINEL_KEY)
+        assert main(run_args(config, tmp_path, "--llm")) == 2
+        assert f"configuration error: {path}" in capsys.readouterr().err
 
     def test_unknown_key_exits_2_and_names_the_key(self, tmp_path, capsys):
         config = write_config(tmp_path, GOOD_CONFIG + "turbo: true\n")

@@ -1,11 +1,12 @@
 """Routing adapter behavior against a local mock chat endpoint."""
 
 import json
+import math
 import socket
 import time
 
 import pytest
-from conftest import SENTINEL_KEY
+from conftest import SENTINEL_KEY, MockEndpoint
 
 from evobeam.arrays import ArrayConstraints
 from evobeam.errors import ConfigurationError, ValidationError
@@ -77,6 +78,23 @@ class TestParsing:
         assert parse_role_name("42") is None
         assert parse_role_name(None) is None
         assert parse_role_name("Training and Evaluation") is None
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_retries", 1.5),
+        ("max_retries", True),
+        ("max_retries", -1),
+        ("timeout_s", math.inf),
+        ("timeout_s", math.nan),
+        ("timeout_s", 0),
+    ],
+    ids=str,
+)
+def test_endpoint_config_checks_its_numbers(field, value):
+    with pytest.raises(ValidationError, match=rf"^{field}\b"):
+        EndpointConfig(base_url="http://h/v1", model_name="m", **{field: value})
 
 
 class TestPrompt:
@@ -164,6 +182,30 @@ class TestDecide:
         decision = decide_next_agent(triggered_prompt(), make_config(dead_url()))
         assert decision.source == "fallback"
         assert decision.role is AgentRole.DATA_COLLECTION
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_refused_and_falls_back(self, endpoint, status):
+        target = MockEndpoint()
+        try:
+            target.reply_content("DataCollection")
+            location = {"Location": target.url + "/chat/completions"}
+            endpoint.reply_script((status, b"{}", 0.0, location))
+            config = make_config(endpoint.url, max_retries=1)
+            decision = decide_next_agent(triggered_prompt(), config)
+            assert decision.source == "fallback"
+            assert decision.role is AgentRole.DATA_COLLECTION
+            assert len(endpoint.seen) == 2  # each attempt failed at the first server
+            assert target.seen == []  # so the key never left base_url
+        finally:
+            target.close()
+
+    def test_non_http_base_url_falls_back(self, tmp_path):
+        # urllib reads file: URLs too; a reply without an HTTP status fails
+        (tmp_path / "chat").mkdir()
+        reply = {"choices": [{"message": {"content": "DataCollection"}}]}
+        (tmp_path / "chat" / "completions").write_text(json.dumps(reply))
+        decision = decide_next_agent(triggered_prompt(), make_config(f"file://{tmp_path}"))
+        assert decision.source == "fallback"
 
     def test_retry_recovers_from_one_failure(self, endpoint):
         good = json.dumps({"choices": [{"message": {"content": "DataCollection"}}]}).encode()

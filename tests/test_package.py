@@ -1,13 +1,40 @@
-"""Package metadata."""
+"""Package metadata and import footprint."""
 
+import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
 import evobeam
 
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def load_project():
+    with PYPROJECT.open("rb") as fh:
+        return tomllib.load(fh)["project"]
+
 
 def test_version_matches_pyproject():
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with pyproject.open("rb") as fh:
-        declared = tomllib.load(fh)["project"]["version"]
-    assert evobeam.__version__ == declared
+    assert evobeam.__version__ == load_project()["version"]
+
+
+def test_runtime_dependencies_are_numpy_and_pyyaml():
+    names = {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+        for dep in load_project()["dependencies"]
+    }
+    assert names == {"numpy", "pyyaml"}
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    src = str(Path(evobeam.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import evobeam.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('requests', 'urllib3')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

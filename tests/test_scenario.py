@@ -1,9 +1,14 @@
 """Scenario loader: field validation with dotted error paths."""
 
+import math
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evobeam.errors import ConfigurationError
-from evobeam.scenario import scenario_from_mapping
+from evobeam.scenario import ScenarioConfig, scenario_from_mapping
 
 
 def minimal_mapping(**sections):
@@ -31,3 +36,175 @@ def test_whole_float_optimizer_count_is_accepted_as_int():
 def test_non_finite_optimizer_float_is_rejected_with_its_path(field, value):
     with pytest.raises(ConfigurationError, match=rf"optimizer\.{field}\b"):
         scenario_from_mapping(minimal_mapping(optimizer={field: value}))
+
+
+def with_value(path, value):
+    """minimal_mapping with the field at the dotted path set to value."""
+    mapping = minimal_mapping()
+    *sections, key = path.split(".")
+    node = mapping
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return mapping
+
+
+NUMBER_FIELDS = [
+    "seed",
+    "trajectory.num_steps",
+    "trajectory.drift.sigma_deg_per_step",
+    "monitoring.relative_drop_threshold_db",
+    "csi.snr_db",
+    "csi.num_snapshots",
+    "estimation.grid_resolution_deg",
+]
+NON_FINITE = [math.inf, -math.inf, math.nan, 10**400]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("path", NUMBER_FIELDS)
+def test_non_finite_number_is_rejected_with_its_path(path, value):
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(path)}\b"):
+        scenario_from_mapping(with_value(path, value))
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("path", ["trajectory.initial_angles", "trajectory.angle_bounds"])
+def test_non_finite_angle_is_rejected_with_its_index(path, value):
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(path)}\[1\]"):
+        scenario_from_mapping(with_value(path, [60.0, value]))
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("constraints.num_elements", math.inf),
+        ("constraints.num_elements", math.nan),
+        ("constraints.num_elements", 10**400),
+        ("constraints.num_elements", 2.5),
+        ("constraints.num_elements", True),
+        ("constraints.wavelength", math.inf),
+        ("constraints.min_spacing", -1.0),
+        ("constraints.position_bound", 10**400),
+    ],
+)
+def test_bad_constraint_is_rejected_with_its_path(path, value):
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(path)}\b"):
+        scenario_from_mapping(with_value(path, value))
+
+
+LLM = {"base_url": "http://127.0.0.1:1/v1", "model_name": "m"}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_retries", 1.5),
+        ("max_retries", True),
+        ("max_retries", -1),
+        ("max_retries", math.inf),
+        ("timeout_s", math.inf),
+        ("timeout_s", math.nan),
+        ("timeout_s", 0),
+        ("timeout_s", True),
+        ("timeout_s", "30"),
+        ("base_url", 5),
+        ("model_name", ["m"]),
+        ("api_key_env", 7),
+    ],
+)
+def test_bad_llm_setting_is_rejected_with_its_path(field, value):
+    with pytest.raises(ConfigurationError, match=rf"^llm\.{field}\b"):
+        scenario_from_mapping(minimal_mapping(llm={**LLM, field: value}))
+
+
+def test_llm_counts_accept_whole_numbers():
+    config = scenario_from_mapping(minimal_mapping(llm={**LLM, "max_retries": 3.0}))
+    assert config.llm.max_retries == 3
+    assert type(config.llm.max_retries) is int
+
+
+# The schema as nested mappings; each leaf holds one valid value.
+ANGLES = [60.0, 90.0, 120.0]
+SCHEMA = {
+    "schema_version": 1,
+    "seed": 3,
+    "trajectory": {
+        "num_steps": 3,
+        "initial_angles": ANGLES,
+        "angle_bounds": [5.0, 175.0],
+        "drift": {"kind": "scripted", "sigma_deg_per_step": 1.0, "waypoints": [ANGLES] * 3},
+    },
+    "constraints": {
+        "wavelength": 0.125,
+        "num_elements": 8,
+        "min_spacing": 0.0625,
+        "position_bound": 0.625,
+    },
+    "optimizer": {
+        "strategy": "coordinate",
+        "restarts": 2,
+        "step_size": 0.05,
+        "grid_resolution": 0.01,
+        "max_outer_iterations": 5,
+        "gain_tolerance_db": 1e-6,
+        "max_step_halvings": 3,
+        "seed": 1,
+    },
+    "monitoring": {"relative_drop_threshold_db": 3.0},
+    "csi": {"snr_db": 10.0, "num_snapshots": 50},
+    "estimation": {"grid_resolution_deg": 0.5},
+    "llm": {
+        "base_url": "http://127.0.0.1:1/v1",
+        "model_name": "m",
+        "api_key_env": "EVOBEAM_API_KEY",
+        "timeout_s": 1.0,
+        "max_retries": 0,
+    },
+}
+
+SCALARS = st.one_of(
+    st.integers(),
+    st.sampled_from([0, 1, 2, 10**400, -(10**400)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=1.0, max_value=179.0),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from(["gradient", "random_walk", "scripted"]),
+    st.none(),
+)
+VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=4),
+    st.lists(st.lists(st.floats(min_value=1.0, max_value=179.0), max_size=4), max_size=4),
+)
+
+
+def field_values(valid):
+    """The field's valid value (or mapping) three times in four, any value otherwise."""
+    good = schema_mappings(valid) if isinstance(valid, dict) else st.just(valid)
+    return st.integers(0, 3).flatmap(lambda draw: good if draw else VALUES)
+
+
+def schema_mappings(schema):
+    """Mappings over the schema's field names, each field optional."""
+    return st.fixed_dictionaries(
+        {}, optional={name: field_values(valid) for name, valid in schema.items()}
+    )
+
+
+PATH_HEAD = re.compile(r"([A-Za-z_]\w*)(?:\.\w+|\[\d+\])*(?::| |$)")
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn=schema_mappings(SCHEMA))
+def test_loader_returns_a_config_or_names_the_field(drawn):
+    """Any schema-shaped mapping loads or fails with a dotted field path, nothing else."""
+    mapping = {**minimal_mapping(), **drawn}
+    try:
+        config = scenario_from_mapping(mapping)
+    except ConfigurationError as exc:
+        head = PATH_HEAD.match(str(exc))
+        assert head is not None and head.group(1) in set(SCHEMA) | set(mapping), str(exc)
+    else:
+        assert isinstance(config, ScenarioConfig)
