@@ -83,15 +83,6 @@ class ArrayGeometry:
             position_bound=self.position_bound,
         )
 
-    def with_positions(self, positions: Sequence[float]) -> "ArrayGeometry":
-        """Same constraints, different element positions."""
-        return ArrayGeometry(
-            wavelength=self.wavelength,
-            positions=tuple(float(p) for p in positions),
-            min_spacing=self.min_spacing,
-            position_bound=self.position_bound,
-        )
-
 
 @dataclass(frozen=True)
 class ArrayConstraints:

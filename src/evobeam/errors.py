@@ -20,17 +20,20 @@ class ProtocolError(EvobeamError, RuntimeError):
     """Lifecycle bookkeeping was driven out of order."""
 
 
-def check_count(name, value, minimum) -> int:
+def check_count(name, value, minimum, maximum=None) -> int:
     """value as an int, or ValidationError naming the field.
 
-    Accepts integers and whole floats (2.0) from minimum up to the largest
-    float; bools, fractions, infinities, NaN and non-numbers fail.
+    Accepts integers and whole floats (2.0) from minimum up to maximum, or
+    up to the largest float when maximum is None; bools, fractions,
+    infinities, NaN and non-numbers fail.
     """
     whole = isinstance(value, numbers.Integral) or (
         isinstance(value, float) and value.is_integer()
     )
-    if isinstance(value, bool) or not whole or not minimum <= value <= sys.float_info.max:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    top = sys.float_info.max if maximum is None else maximum
+    if isinstance(value, bool) or not whole or not minimum <= value <= top:
+        allowed = f">= {minimum}" if maximum is None else f"from {minimum} to {maximum}"
+        raise ValidationError(f"{name} must be an integer {allowed}, got {value!r}")
     return int(value)
 
 

@@ -27,11 +27,14 @@ from .arrays import (
 )
 from .errors import ConfigurationError, ValidationError, check_count, check_positive_finite
 
-# Batched temporaries (the candidate Gram matrices of a coordinate sweep,
-# the block-mean tables of the projection) are built in blocks of at most
-# this many entries (256 KiB of complex numbers), so their memory
-# does not grow with the number of restarts or the grid size.
+# Batched temporaries (the K x K eigenvector matrices gathered for the
+# candidates of a coordinate sweep, the block-mean tables of the
+# projection) are built in blocks of at most this many entries (256 KiB of
+# complex numbers), so their memory does not grow with the number of
+# restarts or the grid size.
 _BLOCK_ENTRIES = 1 << 14
+
+_EPS = np.finfo(float).eps
 
 
 class Strategy(str, Enum):
@@ -304,7 +307,10 @@ def _coordinate_sweeps(x, obj, alpha, config, constraints):
     upper limit appended when the grid misses it, and moves to the first
     best candidate if that beats its objective. Moving element i replaces
     row s_i of the steering matrix, so a candidate at c scores
-    lambda_max(G - s_i^H s_i + s_c^H s_c): O(K^2) per candidate.
+    lambda_max(G - s_i^H s_i + s_c^H s_c), a rank-one update of a matrix
+    that all of the row's candidates share. One eigendecomposition of that
+    matrix per row turns every candidate's score into the largest root of
+    a secular equation (_rank_one_lambda_max): O(K^2) per candidate.
     """
     d = constraints.min_spacing
     b = constraints.position_bound
@@ -312,6 +318,7 @@ def _coordinate_sweeps(x, obj, alpha, config, constraints):
     rows, n = x.shape
     k = alpha.shape[0]
     block = max(1, _BLOCK_ENTRIES // (k * k))
+    s = _steering(x, alpha)
     for i in range(n):
         lo = np.maximum(x[:, i - 1] + d, -b) if i > 0 else np.full(rows, -b)
         hi = np.minimum(x[:, i + 1] - d, b) if i < n - 1 else np.full(rows, b)
@@ -319,10 +326,10 @@ def _coordinate_sweeps(x, obj, alpha, config, constraints):
         grid = np.where(valid, np.floor((hi - lo) / res) + 1, 0).astype(int)
         counts = grid + (valid & (lo + res * (grid - 1) < hi - 1e-15))
         ends = np.cumsum(counts)
-        s = _steering(x, alpha)
-        # recomputed from the positions for every coordinate, so rank-2
-        # updates never accumulate rounding error
+        # recomputed from the steering of the current positions for every
+        # coordinate, so rounding error never accumulates across coordinates
         rest = _gram(s) - s[:, i, :, None].conj() * s[:, i, None, :]
+        rest_values, rest_vectors = np.linalg.eigh(rest)
         best = obj.copy()
         best_at = x[:, i].copy()
         for start in range(0, int(ends[-1]), block):
@@ -330,12 +337,11 @@ def _coordinate_sweeps(x, obj, alpha, config, constraints):
             row = np.searchsorted(ends, pair, side="right")
             index = pair - (ends[row] - counts[row])
             candidate = np.where(index == grid[row], hi[row], lo[row] + res * index)
-            sc = _steering(candidate, alpha)
-            gram = rest[row]
-            gram += sc[:, :, None].conj() * sc[:, None, :]
-            value = _lambda_max(gram)
+            value = _rank_one_lambda_max(
+                rest_values[row], rest_vectors[row], _steering(candidate, alpha)
+            )
             # first maximum of every row's run of pairs in this block
-            opens = np.diff(row, prepend=-1) != 0
+            opens = np.concatenate(([True], row[1:] != row[:-1]))
             head = np.flatnonzero(opens)
             peak = np.maximum.reduceat(value, head)[np.cumsum(opens) - 1]
             at_peak = np.where(value == peak, np.arange(pair.size), pair.size)
@@ -345,7 +351,51 @@ def _coordinate_sweeps(x, obj, alpha, config, constraints):
             best[owner[better]] = value[pick[better]]
             best_at[owner[better]] = candidate[pick[better]]
         x[:, i] = best_at
+        s[:, i] = _steering(best_at, alpha)
         obj[:] = best
+
+
+def _rank_one_lambda_max(values, vectors, sc):
+    """lambda_max(V diag(values) V^H + conj(sc) sc^T) for every row.
+
+    values (rows, K) ascending and vectors (rows, K, K) are an
+    eigendecomposition of a Hermitian matrix, sc (rows, K) the rank-one
+    term. In the eigenbasis the matrix is diag(d) + v v^H with
+    z = |v|^2 = |sc V|^2, so its largest eigenvalue is the larger of max d
+    and the largest root of the secular equation
+    psi(lam) = sum_j z_j / (lam - d_j) = 1 (Golub 1973; Bunch, Nielsen &
+    Sorensen 1978).
+
+    Weights at rounding level are deflated: their poles drop out of psi
+    and stay eigenvalues on their own. Above the remaining poles 1/psi is
+    concave and increasing, so Newton's method on 1/psi = 1 never
+    overshoots the root. It starts at the lower bound
+    max(max_j (d_j + z_j), max d), rises monotonically, and stops each row
+    at its first step that no longer rises; a row whose start is a
+    deflated pole above the root stops there at once. Every gap lam - d_j
+    of a weighted pole stays positive, so every score is finite.
+    """
+    z = np.matmul(sc[:, None, :], vectors)[:, 0, :]
+    z = z.real**2 + z.imag**2
+    deflated = z <= _EPS * (np.abs(values).max(axis=1) + np.add.reduce(z, axis=1))[:, None]
+    # a deflated pole at -inf contributes z / inf = 0 to every sum
+    poles = np.where(deflated, -np.inf, values)
+    lam = np.maximum((poles + z).max(axis=1), values[:, -1])
+    live = np.flatnonzero(~deflated.all(axis=1))
+    poles, z, at = poles[live], z[live], lam[live]
+    while live.size:
+        gap = at[:, None] - poles
+        term = z / gap
+        psi = np.add.reduce(term, axis=1)
+        # Newton step on 1/psi - 1, whose derivative is sum_j z_j / gap_j^2 / psi^2
+        new = at + (psi - 1.0) * psi / np.add.reduce(term / gap, axis=1)
+        rising = new > at
+        if rising.all():
+            at = new
+            continue
+        lam[live] = np.where(rising, new, at)
+        live, poles, z, at = live[rising], poles[rising], z[rising], new[rising]
+    return lam
 
 
 def _steering(positions, alpha):

@@ -65,6 +65,10 @@ DEFAULT_DRIFT_SIGMA = 1.0
 DEFAULT_SNR_DB = 10.0
 DEFAULT_RELATIVE_DROP_DB = 3.0
 DEFAULT_API_KEY_ENV = "EVOBEAM_API_KEY"
+# every step draws a num_snapshots x N complex batch, 1.6 MB per element
+# at this cap; an unbounded count would fail only inside the run, with an
+# allocation error
+MAX_SNAPSHOTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,9 @@ class ScenarioConfig:
         if not math.isfinite(self.snr_db):
             raise ConfigurationError("csi.snr_db must be finite")
         object.__setattr__(
-            self, "num_snapshots", check_count("csi.num_snapshots", self.num_snapshots, 1)
+            self,
+            "num_snapshots",
+            check_count("csi.num_snapshots", self.num_snapshots, 1, MAX_SNAPSHOTS),
         )
         check_positive_finite("estimation.grid_resolution_deg", self.grid_resolution_deg)
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))

@@ -6,6 +6,7 @@ import math
 import pytest
 import yaml
 
+from evobeam import cli
 from evobeam.arrays import ArrayConstraints, DoASet
 from evobeam.cli import main
 from evobeam.optimize import OptimizerConfig, Strategy, fixed_baseline, optimize_movable
@@ -152,6 +153,17 @@ class TestRun:
         monkeypatch.setenv("EVOBEAM_API_KEY", SENTINEL_KEY)
         assert main(run_args(config, tmp_path, "--llm")) == 2
         assert f"configuration error: {path}" in capsys.readouterr().err
+
+    def test_huge_snapshot_count_exits_2_before_the_episode_runs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("the episode must not start")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        config = write_config(tmp_path, GOOD_CONFIG + "csi:\n  num_snapshots: 1000000000000\n")
+        assert main(run_args(config, tmp_path)) == 2
+        assert "configuration error: csi.num_snapshots" in capsys.readouterr().err
 
     def test_unknown_key_exits_2_and_names_the_key(self, tmp_path, capsys):
         config = write_config(tmp_path, GOOD_CONFIG + "turbo: true\n")

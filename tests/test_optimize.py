@@ -531,6 +531,110 @@ def test_optimizer_config_validation():
         OptimizerConfig(strategy=Strategy.BASELINE)
 
 
+# ---------------------------------------------------------------- candidate scoring by the secular equation
+
+
+def secular_vs_dense(rest, sc):
+    """(secular lambda_max, eigvalsh oracle) of rest + conj(sc) sc^T, stacked."""
+    values, vectors = np.linalg.eigh(rest)
+    got = optimize._rank_one_lambda_max(values, vectors, sc)
+    full = rest + sc[:, :, None].conj() * sc[:, None, :]
+    return got, np.linalg.eigvalsh(full)[:, -1]
+
+
+def secular_vs_decomposition(values, vectors, sc):
+    """(secular lambda_max, eigvalsh oracle) of V diag(values) V^H + conj(sc) sc^T."""
+    got = optimize._rank_one_lambda_max(values, vectors, sc)
+    rest = vectors @ (values[..., None] * np.swapaxes(vectors.conj(), -1, -2))
+    full = rest + sc[:, :, None].conj() * sc[:, None, :]
+    return got, np.linalg.eigvalsh(full)[:, -1]
+
+
+@st.composite
+def psd_and_phases(draw):
+    """A stack of random PSD K x K matrices A^H A (rank 0 to K) and unit-modulus rows."""
+    k = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 4))
+    m = draw(st.integers(0, k + 2))
+    entries = st.floats(-3.0, 3.0, allow_subnormal=False)
+    a = np.array(draw(st.lists(entries, min_size=2 * rows * m * k, max_size=2 * rows * m * k)))
+    a = (a[: rows * m * k] + 1j * a[rows * m * k :]).reshape(rows, m, k)
+    phases = draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=rows * k, max_size=rows * k))
+    return a.conj().transpose(0, 2, 1) @ a, np.exp(1j * np.array(phases)).reshape(rows, k)
+
+
+@given(psd_and_phases())
+def test_secular_lambda_max_matches_eigvalsh(case):
+    got, expected = secular_vs_dense(*case)
+    assert np.all(np.abs(got - expected) <= 1e-12 * expected)
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ((0.0, 5.0), 5.0),  # the weightless pole lies above the root
+        ((0.0, 1.0), 2.0),  # and below it
+    ],
+)
+def test_secular_lambda_max_with_an_exactly_zero_weight(values, expected):
+    vectors = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2)
+    # sc V = (sqrt 2, 0)
+    got, oracle = secular_vs_decomposition(np.array([values]), vectors[None], np.ones((1, 2)))
+    assert_allclose(got, oracle, rtol=1e-12)
+    assert_allclose(got, [expected], rtol=1e-12)
+
+
+def test_secular_lambda_max_with_a_weightless_top_pole_under_the_root():
+    # sc V = (1 + 1/sqrt 2, 1 - 1/sqrt 2, 0) squared: both weighted poles sit
+    # at 0, their root is 3, and every d_j + z_j stays under the top pole 2.95
+    h = 1 / math.sqrt(2)
+    vectors = np.array([[0.5, 0.5, h], [0.5, 0.5, -h], [h, -h, 0.0]], dtype=complex)
+    values = np.array([[0.0, 0.0, 2.95]])
+    got, oracle = secular_vs_decomposition(values, vectors[None], np.ones((1, 3)))
+    assert_allclose(got, oracle, rtol=1e-12)
+    assert_allclose(got, [3.0], rtol=1e-12)
+
+
+def test_secular_lambda_max_when_every_weight_deflates():
+    values = np.array([[-1.0, 0.5, 3.0]])
+    got = optimize._rank_one_lambda_max(values, np.eye(3, dtype=complex)[None], np.zeros((1, 3)))
+    assert got.tolist() == [3.0]
+
+
+def test_secular_lambda_max_with_tied_poles():
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    spectra = [(2.0, 2.0, 2.0, 2.0), (1.0, 4.0, 4.0, 4.0), (0.0, 0.0, 3.0, 3.0), (0.0, 0.0, 0.0, 0.0)]
+    rest = np.stack([q @ np.diag(d) @ q.conj().T for d in spectra])
+    sc = np.exp(1j * rng.uniform(0, 2 * np.pi, (len(spectra), 4)))
+    got, expected = secular_vs_dense(rest, sc)
+    assert_allclose(got, expected, rtol=1e-12)
+    assert_allclose(got[0], 6.0, rtol=1e-12)  # 2 I + v v^H with |v|^2 = 4
+
+
+def test_secular_lambda_max_on_orthogonal_steering():
+    # with lambda/2 spacing, 60/90/120 degrees give exactly orthogonal
+    # steering columns: G = 8 I, removing one element leaves the poles
+    # (5, 8, 8), and the candidate at the element's own place puts only
+    # rounding-level weight on the double pole and restores 8
+    constraints = ArrayConstraints()
+    alpha = spatial_frequencies(constraints.wavelength, (60.0, 90.0, 120.0))
+    x = np.array(constraints.uniform_geometry().positions)
+    s = optimize._steering(x, alpha)
+    d, b = constraints.min_spacing, constraints.position_bound
+    for i in range(constraints.num_elements):
+        rest = optimize._gram(s) - s[i, :, None].conj() * s[i, None, :]
+        lo = x[i - 1] + d if i > 0 else -b
+        hi = x[i + 1] - d if i < constraints.num_elements - 1 else b
+        candidates = np.append(np.linspace(lo, hi, 9), x[i])
+        got, expected = secular_vs_dense(
+            np.broadcast_to(rest, (candidates.size, 3, 3)), optimize._steering(candidates, alpha)
+        )
+        assert np.all(np.isfinite(got))
+        assert_allclose(got, expected, rtol=1e-12)
+        assert_allclose(got[-1], 8.0, rtol=1e-12)
+
+
 # ---------------------------------------------------------------- lockstep search vs sequential reference
 
 # Common shifts of the start layouts, in meters: they leave the gain
@@ -617,26 +721,33 @@ def test_small_block_cap_bounds_every_batch_and_changes_nothing(monkeypatch, str
     constraints = ArrayConstraints()
     expected = optimize_movable(doas, config, constraints)
 
-    cap = 4 * 3 * 3  # four 3x3 Gram matrices; the 4 restarts' Grams also fit
+    cap = 4 * 3 * 3  # four 3x3 matrices; the 4 restarts' Grams also fit
     monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", cap)
-    eig_sizes, isotonic_rows = [], []
-    eigvalsh, isotonic = np.linalg.eigvalsh, optimize._isotonic_rows
+    eig_sizes, score_sizes, isotonic_rows = [], [], []
+    eigvalsh, score = np.linalg.eigvalsh, optimize._rank_one_lambda_max
+    isotonic = optimize._isotonic_rows
 
     def counting_eigvalsh(a, *args, **kwargs):
         eig_sizes.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
+
+    # coordinate candidates are scored from their rows' gathered K x K eigenvectors
+    def counting_score(values, vectors, sc):
+        score_sizes.append(np.shape(vectors))
+        return score(values, vectors, sc)
 
     def counting_isotonic(y):
         isotonic_rows.append(y.shape[0])
         return isotonic(y)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(optimize, "_rank_one_lambda_max", counting_score)
     monkeypatch.setattr(optimize, "_isotonic_rows", counting_isotonic)
     got = optimize_movable(doas, config, constraints)
 
-    assert max(math.prod(shape) for shape in eig_sizes) <= cap
+    assert max(math.prod(shape) for shape in eig_sizes + score_sizes) <= cap
     if strategy is Strategy.COORDINATE:
-        assert sum(shape[0] == 4 for shape in eig_sizes) > 4  # candidates were split
+        assert sum(shape[0] == 4 for shape in score_sizes) > 4  # candidates were split
     assert isotonic_rows and max(isotonic_rows) == 1  # an 8x8 table exceeds the cap
     assert got.gain_history_db == expected.gain_history_db
     assert got.geometry.positions == expected.geometry.positions

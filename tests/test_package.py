@@ -16,16 +16,21 @@ def load_project():
         return tomllib.load(fh)["project"]
 
 
+def dependency_names(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+
+
 def test_version_matches_pyproject():
     assert evobeam.__version__ == load_project()["version"]
 
 
 def test_runtime_dependencies_are_numpy_and_pyyaml():
-    names = {
-        re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
-        for dep in load_project()["dependencies"]
-    }
-    assert names == {"numpy", "pyyaml"}
+    assert dependency_names(load_project()["dependencies"]) == {"numpy", "pyyaml"}
+
+
+def test_test_extra_names_pytest_and_hypothesis():
+    test_extra = load_project()["optional-dependencies"]["test"]
+    assert {"pytest", "hypothesis"} <= dependency_names(test_extra)
 
 
 def test_cli_import_loads_no_third_party_http_client():

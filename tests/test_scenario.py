@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evobeam.errors import ConfigurationError
-from evobeam.scenario import ScenarioConfig, scenario_from_mapping
+from evobeam.scenario import MAX_SNAPSHOTS, ScenarioConfig, scenario_from_mapping
 
 
 def minimal_mapping(**sections):
@@ -66,6 +66,18 @@ NON_FINITE = [math.inf, -math.inf, math.nan, 10**400]
 def test_non_finite_number_is_rejected_with_its_path(path, value):
     with pytest.raises(ConfigurationError, match=rf"^{re.escape(path)}\b"):
         scenario_from_mapping(with_value(path, value))
+
+
+@pytest.mark.parametrize("value", [MAX_SNAPSHOTS + 1, 10**12, float(10**12)])
+def test_snapshot_count_above_the_cap_is_rejected_with_its_path(value):
+    # the loader builds no arrays, so a huge count costs nothing here
+    with pytest.raises(ConfigurationError, match=r"^csi\.num_snapshots\b"):
+        scenario_from_mapping(with_value("csi.num_snapshots", value))
+
+
+def test_snapshot_count_at_the_cap_loads():
+    config = scenario_from_mapping(with_value("csi.num_snapshots", MAX_SNAPSHOTS))
+    assert config.num_snapshots == MAX_SNAPSHOTS
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan", "1e400"])
