@@ -21,6 +21,12 @@ GAIN_FLOOR = 1e-300
 # Slack used when validating geometry against its own constraints.
 _GEOMETRY_SLACK = 1e-12
 
+# every element adds a row to each steering matrix, a row and a column to
+# the estimator's covariance, and num_snapshots complex samples to a step's
+# CSI batch (1.6 MB per element at scenario.MAX_SNAPSHOTS); an unbounded
+# count would fail only inside a run, with an allocation error
+MAX_ELEMENTS = 128
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -39,49 +45,24 @@ class ArrayGeometry:
     position_bound: float
 
     def __post_init__(self):
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValidationError(f"wavelength must be positive, got {self.wavelength}")
-        if not (self.min_spacing > 0 and math.isfinite(self.min_spacing)):
-            raise ValidationError(f"min_spacing must be positive, got {self.min_spacing}")
-        if not (self.position_bound > 0 and math.isfinite(self.position_bound)):
-            raise ValidationError(
-                f"position_bound must be positive, got {self.position_bound}"
-            )
         pos = tuple(float(p) for p in self.positions)
         object.__setattr__(self, "positions", pos)
-        if len(pos) < 1:
-            raise ValidationError("geometry needs at least one element")
-        n = len(pos)
-        if n * self.min_spacing > 2 * self.position_bound + self.min_spacing:
-            raise ConfigurationError(
-                f"{n} elements with spacing {self.min_spacing} cannot fit in "
-                f"[-{self.position_bound}, {self.position_bound}]"
-            )
+        # checks the wavelength, spacing and bound, and that the elements fit
+        c = ArrayConstraints(self.wavelength, len(pos), self.min_spacing, self.position_bound)
         for p in pos:
             if not math.isfinite(p):
                 raise ValidationError("positions must be finite")
-            if abs(p) > self.position_bound + _GEOMETRY_SLACK:
-                raise ValidationError(
-                    f"position {p} outside +-{self.position_bound}"
-                )
+            if abs(p) > c.position_bound + _GEOMETRY_SLACK:
+                raise ValidationError(f"position {p} outside +-{c.position_bound}")
         for a, b in zip(pos, pos[1:]):
-            if b - a < self.min_spacing - _GEOMETRY_SLACK:
+            if b - a < c.min_spacing - _GEOMETRY_SLACK:
                 raise ValidationError(
-                    f"adjacent spacing {b - a} below minimum {self.min_spacing}"
+                    f"adjacent spacing {b - a} below minimum {c.min_spacing}"
                 )
 
     @property
     def num_elements(self) -> int:
         return len(self.positions)
-
-    @property
-    def constraints(self) -> "ArrayConstraints":
-        return ArrayConstraints(
-            wavelength=self.wavelength,
-            num_elements=self.num_elements,
-            min_spacing=self.min_spacing,
-            position_bound=self.position_bound,
-        )
 
 
 @dataclass(frozen=True)
@@ -99,7 +80,8 @@ class ArrayConstraints:
 
     def __post_init__(self):
         check_positive_finite("wavelength", self.wavelength)
-        object.__setattr__(self, "num_elements", check_count("num_elements", self.num_elements, 1))
+        count = check_count("num_elements", self.num_elements, 1, MAX_ELEMENTS)
+        object.__setattr__(self, "num_elements", count)
         if self.min_spacing is None:
             object.__setattr__(self, "min_spacing", self.wavelength / 2)
         if self.position_bound is None:

@@ -10,16 +10,18 @@ seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
 from .arrays import ArrayGeometry, DoASet, steering_matrix
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_finite
 
 DEFAULT_SNAPSHOTS = 200
 DEFAULT_ANGLE_BOUNDS = (5.0, 175.0)
+DEFAULT_NUM_STEPS = 50
+DEFAULT_DRIFT_SIGMA = 1.0
 
 # Inward offset used to keep clamped angles pairwise distinct.
 _SEPARATION_EPS = 1e-6
@@ -29,11 +31,11 @@ _SEPARATION_EPS = 1e-6
 class RandomWalkDrift:
     """Per-user Gaussian angle increments, clamped to the angle bounds."""
 
-    sigma_deg_per_step: float
+    sigma_deg_per_step: float = DEFAULT_DRIFT_SIGMA
 
     def __post_init__(self):
-        if self.sigma_deg_per_step < 0 or not math.isfinite(self.sigma_deg_per_step):
-            raise ValidationError("sigma_deg_per_step must be >= 0")
+        sigma = check_finite("sigma_deg_per_step", self.sigma_deg_per_step, 0)
+        object.__setattr__(self, "sigma_deg_per_step", sigma)
 
 
 @dataclass(frozen=True)
@@ -55,18 +57,21 @@ DriftModel = Union[RandomWalkDrift, ScriptedDrift]
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    num_steps: int
     initial_angles: DoASet
-    drift: DriftModel
+    num_steps: int = DEFAULT_NUM_STEPS
+    drift: DriftModel = field(default_factory=RandomWalkDrift)
     angle_bounds: tuple = DEFAULT_ANGLE_BOUNDS
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_steps < 1:
-            raise ValidationError("num_steps must be >= 1")
-        lo, hi = self.angle_bounds
-        if not (0.0 < lo < hi < 180.0):
-            raise ValidationError(f"angle_bounds {self.angle_bounds} must satisfy 0 < lo < hi < 180")
+        num_steps = check_count("trajectory.num_steps", self.num_steps, 1)
+        object.__setattr__(self, "num_steps", num_steps)
+        bounds = self.angle_bounds
+        if len(bounds) != 2 or not 0.0 < bounds[0] < bounds[1] < 180.0:
+            raise ValidationError(
+                f"trajectory.angle_bounds {bounds} must be (lo, hi) with 0 < lo < hi < 180"
+            )
+        lo, hi = bounds
         for a in self.initial_angles.angles_deg:
             if not (lo <= a <= hi):
                 raise ValidationError(f"initial angle {a} outside bounds {self.angle_bounds}")
@@ -162,17 +167,30 @@ def synthesize_csi(
     """
     if num_snapshots < 1:
         raise ValidationError("num_snapshots must be >= 1")
-    if not math.isfinite(snr_db):
-        raise ValidationError("snr_db must be finite")
+    noise_var = noise_power(snr_db)
     rng = np.random.default_rng(seed)
     k = len(doas)
     r = int(num_snapshots)
     s = steering_matrix(geometry, doas.angles_deg)
     symbols = (rng.standard_normal((r, k)) + 1j * rng.standard_normal((r, k))) / np.sqrt(2)
-    noise_var = 10.0 ** (-snr_db / 10.0)
     noise = np.sqrt(noise_var / 2) * (
         rng.standard_normal((r, geometry.num_elements))
         + 1j * rng.standard_normal((r, geometry.num_elements))
     )
     snapshots = symbols @ s.T + noise
     return CsiSnapshotBatch(snapshots=snapshots, snr_db=float(snr_db), true_angles=doas, seed=int(seed))
+
+
+def noise_power(snr_db, name="snr_db") -> float:
+    """Per-element noise variance 10^(-snr_db / 10) at this SNR.
+
+    Raises ValidationError naming the field unless snr_db is finite and
+    the variance is a finite float.
+    """
+    snr = check_finite(name, snr_db)
+    try:
+        return 10.0 ** (-snr / 10.0)
+    except OverflowError:
+        raise ValidationError(
+            f"{name} must give a finite noise power 10^(-snr_db/10), got {snr_db!r}"
+        ) from None

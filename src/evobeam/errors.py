@@ -32,7 +32,7 @@ def check_count(name, value, minimum, maximum=None) -> int:
     )
     top = sys.float_info.max if maximum is None else maximum
     if isinstance(value, bool) or not whole or not minimum <= value <= top:
-        allowed = f">= {minimum}" if maximum is None else f"from {minimum} to {maximum}"
+        allowed = f">= {minimum}" if maximum is None else f">= {minimum} and <= {maximum}"
         raise ValidationError(f"{name} must be an integer {allowed}, got {value!r}")
     return int(value)
 
@@ -45,3 +45,21 @@ def check_positive_finite(name, value):
         or not 0 < value <= sys.float_info.max
     ):
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def check_finite(name, value, minimum=None) -> float:
+    """value as a float, or ValidationError naming the field.
+
+    Accepts real numbers of either sign (from minimum up, when given)
+    within the float range; bools, NaN, infinities, ints beyond the float
+    range and non-numbers fail.
+    """
+    low = -sys.float_info.max if minimum is None else minimum
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not low <= value <= sys.float_info.max
+    ):
+        allowed = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{name} must be a finite number{allowed}, got {value!r}")
+    return float(value)

@@ -8,9 +8,14 @@ import numpy as np
 
 from .arrays import ArrayGeometry, DoASet, check_hermitian, steering_matrix
 from .channel import DEFAULT_ANGLE_BOUNDS, CsiSnapshotBatch
-from .errors import ValidationError
+from .errors import ValidationError, check_finite
 
 DEFAULT_GRID_RESOLUTION_DEG = 0.5
+
+# the scan holds an N x G complex steering matrix for its G grid points;
+# at this floor G stays below 18,000 (0.3 MB per element), where an
+# unbounded grid would fail only inside the scan, with an allocation error
+MIN_GRID_RESOLUTION_DEG = 0.01
 
 # Two peaks closer than this are treated as one.
 MIN_PEAK_SEPARATION_DEG = 2.0
@@ -69,7 +74,8 @@ def estimate_doas(
         covariance: Hermitian N x N snapshot covariance.
         geometry: array that produced the snapshots.
         num_sources: K, number of directions to return; must be < N.
-        grid_resolution_deg: scan step in degrees.
+        grid_resolution_deg: scan step in degrees, at least
+            MIN_GRID_RESOLUTION_DEG.
         angle_bounds: (lo, hi) scan interval in degrees.
 
     Returns:
@@ -78,8 +84,7 @@ def estimate_doas(
     n = geometry.num_elements
     if not 1 <= num_sources < n:
         raise ValidationError(f"num_sources must be in [1, {n - 1}], got {num_sources}")
-    if not grid_resolution_deg > 0:
-        raise ValidationError("grid_resolution_deg must be positive")
+    check_finite("grid_resolution_deg", grid_resolution_deg, MIN_GRID_RESOLUTION_DEG)
     lo, hi = angle_bounds
     if not (0.0 < lo < hi < 180.0):
         raise ValidationError(f"angle_bounds {angle_bounds} must satisfy 0 < lo < hi < 180")

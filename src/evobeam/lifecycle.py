@@ -17,17 +17,11 @@ from enum import Enum
 
 import numpy as np
 
-from .arrays import ArrayConstraints, DoASet, sum_beam_gain
+from .arrays import DoASet, sum_beam_gain
 from .channel import generate_trajectory, synthesize_csi
 from .errors import EvobeamError, ProtocolError, ValidationError
 from .estimation import DoaEstimate, estimate_doas, sample_covariance
-from .optimize import (
-    BeamformingSolution,
-    OptimizerConfig,
-    Strategy,
-    fixed_baseline,
-    optimize_movable,
-)
+from .optimize import BeamformingSolution, Strategy, fixed_baseline, optimize_movable
 from .scenario import DEFAULT_RELATIVE_DROP_DB, ScenarioConfig
 
 MAX_TRAINING_ROUNDS = 5
@@ -181,10 +175,12 @@ class Blackboard:
     assign stage themselves; supervisor_next performs every transition and
     the episode runner only seeds the starting stage of a step.
     deployed_solution changes only inside the Deployment agent.
+    true_angles are the step's actual directions: the sensing agents
+    synthesize CSI from them, and the step's metrics are scored at them.
     """
 
-    constraints: ArrayConstraints
     step_index: int = 0
+    true_angles: DoASet | None = None
     stage: AgentRole | _Idle = IDLE
     deployed_solution: BeamformingSolution | None = None
     baseline_solution: BeamformingSolution | None = None
@@ -199,25 +195,6 @@ class Blackboard:
     metrics_history: AppendOnlyLog = field(default_factory=AppendOnlyLog)
     event_log: AppendOnlyLog = field(default_factory=AppendOnlyLog)
     abort_log: AppendOnlyLog = field(default_factory=AppendOnlyLog)
-
-
-@dataclass
-class EpisodeServices:
-    """Per-episode handles the agents call, plus the current step's world."""
-
-    constraints: ArrayConstraints
-    optimizer_config: OptimizerConfig
-    snr_db: float = 10.0
-    num_snapshots: int = 200
-    grid_resolution_deg: float = 0.5
-    angle_bounds: tuple = (5.0, 175.0)
-    relative_drop_threshold_db: float = DEFAULT_RELATIVE_DROP_DB
-    num_sources: int = 3
-    master_seed: int = 0
-    true_angles: DoASet | None = None
-
-    def stream_seed(self, stream, step, attempt=0):
-        return _derive_seed(self.master_seed, stream, step, attempt)
 
 
 @dataclass(frozen=True)
@@ -265,7 +242,7 @@ def monitoring_check(
     )
 
 
-def agent_execute(role: AgentRole, blackboard: Blackboard, services: EpisodeServices) -> AgentReport:
+def agent_execute(role: AgentRole, blackboard: Blackboard, scenario: ScenarioConfig) -> AgentReport:
     """Run one agent against the blackboard and report what it changed.
 
     Domain failures (missing prerequisites, optimizer errors) come back as
@@ -278,7 +255,7 @@ def agent_execute(role: AgentRole, blackboard: Blackboard, services: EpisodeServ
     if pending is not None and role is not AgentRole.MONITORING:
         pending.agent_sequence.append(role)
     try:
-        return _HANDLERS[role](blackboard, services)
+        return _HANDLERS[role](blackboard, scenario)
     except EvobeamError as exc:
         return AgentReport(role=role, ok=False, message=f"{role.value} failed", reason=str(exc))
 
@@ -369,11 +346,11 @@ def _missing(role, field_name):
     )
 
 
-def _sensing_geometry(blackboard):
+def _sensing_geometry(blackboard, scenario):
     """The array the receiver currently has: deployed, or uniform before any."""
     if blackboard.deployed_solution is not None:
         return blackboard.deployed_solution.geometry
-    return blackboard.constraints.uniform_geometry()
+    return scenario.constraints.uniform_geometry()
 
 
 def _gain_db(solution, doas):
@@ -384,46 +361,50 @@ def _format_angles(angles):
     return "[" + ", ".join(f"{a:.1f}" for a in angles) + "]"
 
 
-def _sense(geometry, blackboard, services, stream):
+def _sense(geometry, blackboard, scenario, stream):
     """Synthesize this step's CSI on geometry and estimate the directions.
 
     The noise seed is (stream, step, consecutive failures), so a retry
     draws fresh noise.
     """
-    seed = services.stream_seed(stream, blackboard.step_index, blackboard.consecutive_failures)
+    step, attempt = blackboard.step_index, blackboard.consecutive_failures
     csi = synthesize_csi(
-        geometry, services.true_angles, services.snr_db, services.num_snapshots, seed=seed
+        geometry,
+        blackboard.true_angles,
+        scenario.snr_db,
+        scenario.num_snapshots,
+        seed=_derive_seed(scenario.seed, stream, step, attempt),
     )
-    estimate = estimate_doas(
+    return estimate_doas(
         sample_covariance(csi),
         geometry,
-        services.num_sources,
-        services.grid_resolution_deg,
-        services.angle_bounds,
+        len(scenario.trajectory.initial_angles),
+        scenario.grid_resolution_deg,
+        scenario.trajectory.angle_bounds,
     )
-    return estimate
 
 
-def _run_data_collection(blackboard, services):
-    if services.true_angles is None:
+def _run_data_collection(blackboard, scenario):
+    if blackboard.true_angles is None:
         return _missing(AgentRole.DATA_COLLECTION, "true_angles")
-    estimate = _sense(_sensing_geometry(blackboard), blackboard, services, _STREAM_COLLECT_CSI)
+    geometry = _sensing_geometry(blackboard, scenario)
+    estimate = _sense(geometry, blackboard, scenario, _STREAM_COLLECT_CSI)
     blackboard.latest_estimate = estimate
     return AgentReport(
         role=AgentRole.DATA_COLLECTION,
         ok=True,
         message=(
-            f"collected {services.num_snapshots} snapshots, "
+            f"collected {scenario.num_snapshots} snapshots, "
             f"estimated directions {_format_angles(estimate.angles.angles_deg)}"
         ),
     )
 
 
-def _run_model_selection(blackboard, services):
+def _run_model_selection(blackboard, scenario):
     if blackboard.latest_estimate is None:
         return _missing(AgentRole.MODEL_SELECTION, "latest_estimate")
     k = len(blackboard.latest_estimate.angles)
-    n = services.constraints.num_elements
+    n = scenario.constraints.num_elements
     strategy = Strategy.GRADIENT if k * n <= 64 else Strategy.COORDINATE
     blackboard.selected_strategy = strategy
     return AgentReport(
@@ -433,7 +414,7 @@ def _run_model_selection(blackboard, services):
     )
 
 
-def _run_training(blackboard, services):
+def _run_training(blackboard, scenario):
     if blackboard.latest_estimate is None:
         return _missing(AgentRole.TRAINING, "latest_estimate")
     if blackboard.selected_strategy is None:
@@ -441,11 +422,11 @@ def _run_training(blackboard, services):
     pending = blackboard.pending_event
     attempt = pending.agent_sequence.count(AgentRole.TRAINING) - 1 if pending else 0
     config = replace(
-        services.optimizer_config,
+        scenario.optimizer,
         strategy=blackboard.selected_strategy,
-        seed=services.stream_seed(_STREAM_OPTIMIZER, blackboard.step_index, max(attempt, 0)),
+        seed=_derive_seed(scenario.seed, _STREAM_OPTIMIZER, blackboard.step_index, max(attempt, 0)),
     )
-    candidate = optimize_movable(blackboard.latest_estimate.angles, config, services.constraints)
+    candidate = optimize_movable(blackboard.latest_estimate.angles, config, scenario.constraints)
     blackboard.candidate_solution = candidate
     if pending is not None and (
         pending.best_candidate is None or candidate.gain_db > pending.best_candidate.gain_db
@@ -461,13 +442,13 @@ def _run_training(blackboard, services):
     )
 
 
-def _run_evaluation(blackboard, services):
+def _run_evaluation(blackboard, scenario):
     if blackboard.candidate_solution is None:
         return _missing(AgentRole.EVALUATION, "candidate_solution")
     if blackboard.latest_estimate is None:
         return _missing(AgentRole.EVALUATION, "latest_estimate")
     candidate = blackboard.candidate_solution
-    baseline = fixed_baseline(blackboard.latest_estimate.angles, services.constraints)
+    baseline = fixed_baseline(blackboard.latest_estimate.angles, scenario.constraints)
     blackboard.baseline_solution = baseline
     floor = baseline.gain_db - GAIN_SLACK_DB
     pending = blackboard.pending_event
@@ -493,7 +474,7 @@ def _run_evaluation(blackboard, services):
     )
 
 
-def _run_deployment(blackboard, services):
+def _run_deployment(blackboard, scenario):
     if blackboard.candidate_solution is None:
         return _missing(AgentRole.DEPLOYMENT, "candidate_solution")
     verdict = blackboard.evaluation_verdict
@@ -537,18 +518,18 @@ def _run_deployment(blackboard, services):
     )
 
 
-def _run_monitoring(blackboard, services):
+def _run_monitoring(blackboard, scenario):
     if blackboard.deployed_solution is None:
         return _missing(AgentRole.MONITORING, "deployed_solution")
-    if services.true_angles is None:
+    if blackboard.true_angles is None:
         return _missing(AgentRole.MONITORING, "true_angles")
     deployed = blackboard.deployed_solution
-    estimate = _sense(deployed.geometry, blackboard, services, _STREAM_MONITOR_CSI)
+    estimate = _sense(deployed.geometry, blackboard, scenario, _STREAM_MONITOR_CSI)
     deployed_db = _gain_db(deployed, estimate.angles)
-    baseline = fixed_baseline(estimate.angles, services.constraints)
+    baseline = fixed_baseline(estimate.angles, scenario.constraints)
     last = blackboard.last_deployed_gain_db
     last = deployed_db if last is None else last
-    threshold = services.relative_drop_threshold_db
+    threshold = scenario.relative_drop_threshold_db
     decision = monitoring_check(deployed_db, baseline.gain_db, last, threshold)
     blackboard.latest_estimate = estimate
     blackboard.baseline_solution = baseline
@@ -557,7 +538,7 @@ def _run_monitoring(blackboard, services):
     if decision.trigger:
         state = f"trigger {decision.reason.value}"
     else:
-        _append_step_record(blackboard, services, evolved=False, reason=None)
+        _append_step_record(blackboard, scenario, evolved=False, reason=None)
         state = "healthy"
     return AgentReport(
         role=AgentRole.MONITORING,
@@ -578,15 +559,15 @@ _HANDLERS = {
 }
 
 
-def _append_step_record(blackboard, services, evolved, reason):
+def _append_step_record(blackboard, scenario, evolved, reason):
     """Score the step at the true directions and append the metrics record."""
-    true_doas = services.true_angles
+    true_doas = blackboard.true_angles
     estimate = blackboard.latest_estimate
     estimated = tuple(estimate.angles.angles_deg) if estimate is not None else ()
     if blackboard.baseline_solution is not None:
         fixed_db = _gain_db(blackboard.baseline_solution, true_doas)
     else:
-        fixed_db = fixed_baseline(true_doas, services.constraints).gain_db
+        fixed_db = fixed_baseline(true_doas, scenario.constraints).gain_db
     if blackboard.deployed_solution is not None:
         movable_db = _gain_db(blackboard.deployed_solution, true_doas)
     else:
@@ -604,13 +585,13 @@ def _append_step_record(blackboard, services, evolved, reason):
     )
 
 
-def _drive_cycle(blackboard, services, router):
+def _drive_cycle(blackboard, scenario, router):
     """Run agents until the supervisor goes idle."""
     for _ in range(_MAX_TRANSITIONS_PER_STEP):
         if blackboard.stage is IDLE:
             return
         role = blackboard.stage
-        report = agent_execute(role, blackboard, services)
+        report = agent_execute(role, blackboard, scenario)
         nxt = supervisor_next(blackboard, report)
         if router is not None:
             # an observer: the deterministic route is the only legal one,
@@ -645,21 +626,10 @@ def run_episode(scenario: ScenarioConfig, router=None) -> EpisodeResult:
         seed=_derive_seed(scenario.seed, _STREAM_TRAJECTORY, 0, 0),
     )
     trajectory = generate_trajectory(trajectory_config)
-    blackboard = Blackboard(constraints=scenario.constraints)
-    services = EpisodeServices(
-        constraints=scenario.constraints,
-        optimizer_config=scenario.optimizer,
-        snr_db=scenario.snr_db,
-        num_snapshots=scenario.num_snapshots,
-        grid_resolution_deg=scenario.grid_resolution_deg,
-        angle_bounds=scenario.trajectory.angle_bounds,
-        relative_drop_threshold_db=scenario.relative_drop_threshold_db,
-        num_sources=len(scenario.trajectory.initial_angles),
-        master_seed=scenario.seed,
-    )
+    blackboard = Blackboard()
     for step, true_doas in enumerate(trajectory):
         blackboard.step_index = step
-        services.true_angles = true_doas
+        blackboard.true_angles = true_doas
         records_before = len(blackboard.metrics_history)
         events_before = len(blackboard.event_log)
         if step == 0:
@@ -671,14 +641,14 @@ def run_episode(scenario: ScenarioConfig, router=None) -> EpisodeResult:
         else:
             blackboard.stage = AgentRole.MONITORING
             reason = None
-        _drive_cycle(blackboard, services, router)
+        _drive_cycle(blackboard, scenario, router)
         if step > 0:
             decision = blackboard.trigger_decision
             if decision is not None and decision.trigger:
                 reason = decision.reason
         if len(blackboard.metrics_history) == records_before:
             evolved = len(blackboard.event_log) > events_before
-            _append_step_record(blackboard, services, evolved=evolved, reason=reason)
+            _append_step_record(blackboard, scenario, evolved=evolved, reason=reason)
     return EpisodeResult(
         metrics_history=tuple(blackboard.metrics_history),
         event_log=tuple(blackboard.event_log),

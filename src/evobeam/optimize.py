@@ -36,6 +36,11 @@ _BLOCK_ENTRIES = 1 << 14
 
 _EPS = np.finfo(float).eps
 
+# every restart adds a row of positions and a K x N complex steering matrix
+# to each batched update (up to 0.25 MB at arrays.MAX_ELEMENTS); an
+# unbounded count would fail only inside the solve, with an allocation error
+MAX_RESTARTS = 1024
+
 
 class Strategy(str, Enum):
     """Position search strategies."""
@@ -68,12 +73,12 @@ class OptimizerConfig:
             raise ValidationError(
                 f"optimizer.strategy must be gradient or coordinate, got {self.strategy}"
             )
-        for name, minimum in (
-            ("restarts", 1),
-            ("max_outer_iterations", 1),
-            ("max_step_halvings", 0),
+        for name, minimum, maximum in (
+            ("restarts", 1, MAX_RESTARTS),
+            ("max_outer_iterations", 1, None),
+            ("max_step_halvings", 0, None),
         ):
-            count = check_count(f"optimizer.{name}", getattr(self, name), minimum)
+            count = check_count(f"optimizer.{name}", getattr(self, name), minimum, maximum)
             object.__setattr__(self, name, count)
         for name in ("step_size", "grid_resolution", "gain_tolerance_db"):
             check_positive_finite(f"optimizer.{name}", getattr(self, name))

@@ -7,10 +7,10 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
     schema_version: 1
     seed: 42
     trajectory:
-      num_steps: 50
+      num_steps: 50                     # optional, default shown
       initial_angles: [60.0, 90.0, 120.0]
       angle_bounds: [5.0, 175.0]        # optional
-      drift:
+      drift:                            # optional, default shown
         kind: random_walk               # or scripted
         sigma_deg_per_step: 1.0         # random_walk only
         # waypoints: [[60, 90, 120], ...]   scripted only
@@ -19,9 +19,13 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
       num_elements: 8
       min_spacing: 0.0625
       position_bound: 0.625
-    optimizer:                          # optional OptimizerConfig fields
-      strategy: gradient
+    optimizer:                          # optional search budget, defaults shown
       restarts: 16
+      step_size: 0.05
+      grid_resolution: 0.01
+      max_outer_iterations: 500
+      gain_tolerance_db: 1.0e-6
+      max_step_halvings: 20
     monitoring:
       relative_drop_threshold_db: 3.0
     csi:
@@ -34,34 +38,40 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
       model_name: "gpt-4o"
       api_key_env: EVOBEAM_API_KEY
 
-Loader errors carry the dotted path of the offending field.
+The optimizer section takes no strategy and no seed: ModelSelection picks
+the search from the problem size, and every Training run draws its seed
+from the scenario seed. Loader errors carry the dotted path of the
+offending field.
 """
 
 from __future__ import annotations
 
-import math
-import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import yaml
 
 from .arrays import ArrayConstraints, DoASet
 from .channel import (
-    DEFAULT_ANGLE_BOUNDS,
+    DEFAULT_NUM_STEPS,
     DEFAULT_SNAPSHOTS,
     RandomWalkDrift,
     ScriptedDrift,
     TrajectoryConfig,
+    noise_power,
 )
-from .errors import ConfigurationError, EvobeamError, check_count, check_positive_finite
-from .estimation import DEFAULT_GRID_RESOLUTION_DEG
-from .optimize import OptimizerConfig, Strategy
+from .errors import (
+    ConfigurationError,
+    EvobeamError,
+    check_count,
+    check_finite,
+    check_positive_finite,
+)
+from .estimation import DEFAULT_GRID_RESOLUTION_DEG, MIN_GRID_RESOLUTION_DEG
+from .optimize import OptimizerConfig
 
 SCHEMA_VERSION = 1
 
 DEFAULT_INITIAL_ANGLES = (60.0, 90.0, 120.0)
-DEFAULT_NUM_STEPS = 50
-DEFAULT_DRIFT_SIGMA = 1.0
 DEFAULT_SNR_DB = 10.0
 DEFAULT_RELATIVE_DROP_DB = 3.0
 DEFAULT_API_KEY_ENV = "EVOBEAM_API_KEY"
@@ -98,9 +108,10 @@ class LlmSettings:
 class ScenarioConfig:
     """Everything run_episode needs, validated at construction.
 
-    seed drives every random stream of the episode (trajectory, CSI noise,
-    optimizer restarts); per-object seeds inside nested configs are
-    ignored by the episode runner.
+    seed drives every random stream of the episode: trajectory, CSI noise
+    and optimizer restarts. run_episode replaces trajectory.seed and
+    optimizer.seed with streams derived from it, and ModelSelection
+    replaces optimizer.strategy, so the episode never reads those three.
     """
 
     trajectory: TrajectoryConfig
@@ -114,16 +125,18 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.relative_drop_threshold_db) and self.relative_drop_threshold_db >= 0):
-            raise ConfigurationError("monitoring.relative_drop_threshold_db must be finite and >= 0")
-        if not math.isfinite(self.snr_db):
-            raise ConfigurationError("csi.snr_db must be finite")
+        check_finite(
+            "monitoring.relative_drop_threshold_db", self.relative_drop_threshold_db, 0
+        )
+        noise_power(self.snr_db, "csi.snr_db")
         object.__setattr__(
             self,
             "num_snapshots",
             check_count("csi.num_snapshots", self.num_snapshots, 1, MAX_SNAPSHOTS),
         )
-        check_positive_finite("estimation.grid_resolution_deg", self.grid_resolution_deg)
+        check_finite(
+            "estimation.grid_resolution_deg", self.grid_resolution_deg, MIN_GRID_RESOLUTION_DEG
+        )
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
         if len(self.trajectory.initial_angles) >= self.constraints.num_elements:
             raise ConfigurationError(
@@ -134,9 +147,7 @@ class ScenarioConfig:
 def default_scenario(num_steps: int = DEFAULT_NUM_STEPS, seed: int = 0) -> ScenarioConfig:
     """Three drifting users in front of the default 8-element array."""
     trajectory = TrajectoryConfig(
-        num_steps=num_steps,
-        initial_angles=DoASet(DEFAULT_INITIAL_ANGLES),
-        drift=RandomWalkDrift(DEFAULT_DRIFT_SIGMA),
+        initial_angles=DoASet(DEFAULT_INITIAL_ANGLES), num_steps=num_steps
     )
     return ScenarioConfig(trajectory=trajectory, seed=seed)
 
@@ -156,206 +167,142 @@ def load_scenario(path) -> ScenarioConfig:
     return scenario_from_mapping(data)
 
 
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "seed",
-    "trajectory",
-    "constraints",
-    "optimizer",
-    "monitoring",
-    "csi",
-    "estimation",
-    "llm",
+# YAML section -> (the config class it builds, the keys it takes), each key
+# the name of the field it fills. The ScenarioConfig sections fill its own
+# fields. optimizer takes neither strategy nor seed; see ScenarioConfig.
+_SECTIONS = {
+    "trajectory": (TrajectoryConfig, ("num_steps", "initial_angles", "angle_bounds", "drift")),
+    "constraints": (
+        ArrayConstraints,
+        ("wavelength", "num_elements", "min_spacing", "position_bound"),
+    ),
+    "optimizer": (
+        OptimizerConfig,
+        (
+            "restarts",
+            "step_size",
+            "grid_resolution",
+            "max_outer_iterations",
+            "gain_tolerance_db",
+            "max_step_halvings",
+        ),
+    ),
+    "monitoring": (ScenarioConfig, ("relative_drop_threshold_db",)),
+    "csi": (ScenarioConfig, ("snr_db", "num_snapshots")),
+    "estimation": (ScenarioConfig, ("grid_resolution_deg",)),
+    "llm": (LlmSettings, ("base_url", "model_name", "api_key_env", "timeout_s", "max_retries")),
 }
+
+_DRIFTS = {"random_walk": RandomWalkDrift, "scripted": ScriptedDrift}
 
 
 def scenario_from_mapping(data) -> ScenarioConfig:
-    """Build a ScenarioConfig from a parsed YAML mapping."""
+    """Build a ScenarioConfig from a parsed YAML mapping.
+
+    A missing or empty section keeps the ScenarioConfig default.
+    """
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a mapping")
     for key in data:
-        if key not in _TOP_LEVEL_KEYS:
+        if key not in {"schema_version", "seed", *_SECTIONS}:
             raise ConfigurationError(f"{key}: unknown configuration section")
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigurationError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
-
-    trajectory = _build_trajectory(_section(data, "trajectory", required=True))
-    constraints = _build_dataclass(
-        ArrayConstraints, _section(data, "constraints"), "constraints"
-    )
-    optimizer = _build_optimizer(_section(data, "optimizer"))
-    monitoring = _section(data, "monitoring")
-    csi = _section(data, "csi")
-    estimation = _section(data, "estimation")
-    llm_section = _section(data, "llm")
-    llm = _build_dataclass(LlmSettings, llm_section, "llm") if llm_section else None
-
-    kwargs = dict(
-        trajectory=trajectory,
-        constraints=constraints,
-        optimizer=optimizer,
-        llm=llm,
-        seed=_number(data, "seed", "seed", default=0, integer=True),
-    )
-    if monitoring:
-        kwargs["relative_drop_threshold_db"] = _number(
-            monitoring,
-            "relative_drop_threshold_db",
-            "monitoring.relative_drop_threshold_db",
-            default=DEFAULT_RELATIVE_DROP_DB,
-        )
-        _reject_unknown(monitoring, {"relative_drop_threshold_db"}, "monitoring")
-    if csi:
-        kwargs["snr_db"] = _number(csi, "snr_db", "csi.snr_db", default=DEFAULT_SNR_DB)
-        kwargs["num_snapshots"] = _number(
-            csi, "num_snapshots", "csi.num_snapshots", default=DEFAULT_SNAPSHOTS, integer=True
-        )
-        _reject_unknown(csi, {"snr_db", "num_snapshots"}, "csi")
-    if estimation:
-        kwargs["grid_resolution_deg"] = _number(
-            estimation, "grid_resolution_deg", "estimation.grid_resolution_deg",
-            default=DEFAULT_GRID_RESOLUTION_DEG,
-        )
-        _reject_unknown(estimation, {"grid_resolution_deg"}, "estimation")
+    kwargs = {"seed": data["seed"]} if "seed" in data else {}
+    for name, (cls, keys) in _SECTIONS.items():
+        section = _mapping(data.get(name), name)
+        if cls is ScenarioConfig:
+            kwargs.update(_values(section, name, keys))
+        elif section:
+            kwargs[name] = _build(cls, section, name, keys)
+    if "trajectory" not in kwargs:
+        raise ConfigurationError("trajectory: section is required")
     try:
         return ScenarioConfig(**kwargs)
-    except ConfigurationError:
-        raise
     except EvobeamError as exc:
         raise ConfigurationError(str(exc)) from exc
 
 
-def _section(data, key, required=False, path=None):
-    path = path or key
-    value = data.get(key)
+def _mapping(value, path):
     if value is None:
-        if required:
-            raise ConfigurationError(f"{path}: section is required")
         return {}
     if not isinstance(value, dict):
         raise ConfigurationError(f"{path}: expected a mapping")
     return value
 
 
-def _reject_unknown(section, known, path):
-    for key in section:
-        if key not in known:
-            raise ConfigurationError(f"{path}.{key}: unknown field")
-
-
-def _number(section, key, path, default=None, integer=False):
-    value = section.get(key, default)
-    if value is None:
-        raise ConfigurationError(f"{path}: field is required")
-    _check_finite(value, path)
-    if integer:
-        if int(value) != value:
-            raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
-        return int(value)
-    return float(value)
-
-
-def _angle_list(section, key, path, required=False):
-    value = section.get(key)
-    if value is None:
-        if required:
-            raise ConfigurationError(f"{path}: field is required")
-        return None
+def _angles(value, path):
+    """A nonempty YAML list of angles as a tuple of floats."""
     if not isinstance(value, (list, tuple)) or not value:
         raise ConfigurationError(f"{path}: expected a nonempty list of angles")
-    for i, item in enumerate(value):
-        _check_finite(item, f"{path}[{i}]")
-    return tuple(float(item) for item in value)
+    return tuple(check_finite(f"{path}[{i}]", a) for i, a in enumerate(value))
 
 
-def _check_finite(value, path):
-    """Require a finite int or float; an int beyond the float range is not finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:
-        raise ConfigurationError(f"{path}: expected a finite number, got {value!r}")
+def _waypoints(value, path):
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigurationError(f"{path}: expected a nonempty list")
+    return tuple(_angles(w, f"{path}[{i}]") for i, w in enumerate(value))
 
 
-def _build_trajectory(section) -> TrajectoryConfig:
-    _reject_unknown(section, {"num_steps", "initial_angles", "angle_bounds", "drift"}, "trajectory")
-    initial = _angle_list(section, "initial_angles", "trajectory.initial_angles", required=True)
+def _drift(value, path):
+    section = dict(_mapping(value, path))
+    kind = section.pop("kind", "random_walk")
+    cls = _DRIFTS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigurationError(f"{path}.kind: unknown kind {kind!r}")
+    return _build(cls, section, path, tuple(f.name for f in fields(cls)))
+
+
+# keys whose YAML value is reshaped before its dataclass sees it
+_CONVERTERS = {
+    "trajectory.initial_angles": lambda value, path: DoASet(_angles(value, path)),
+    "trajectory.angle_bounds": _angles,
+    "trajectory.drift": _drift,
+    "trajectory.drift.waypoints": _waypoints,
+}
+
+
+def _values(section, path, keys):
+    """The section's values by field name, reshaped where _CONVERTERS says."""
+    values = {}
+    for key, value in section.items():
+        if key not in keys:
+            raise ConfigurationError(f"{path}.{key}: unknown field")
+        convert = _CONVERTERS.get(f"{path}.{key}")
+        if convert is not None:
+            try:
+                value = convert(value, f"{path}.{key}")
+            except EvobeamError as exc:
+                raise _located(exc, f"{path}.{key}") from exc
+        values[key] = value
+    return values
+
+
+def _build(cls, section, path, keys):
+    """cls from one section; every error names its field by dotted path."""
+    values = _values(section, path, keys)
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
+            raise ConfigurationError(f"{path}.{f.name}: field is required")
     try:
-        initial_set = DoASet(initial)
-    except EvobeamError as exc:
-        raise ConfigurationError(f"trajectory.initial_angles: {exc}") from exc
-    bounds = _angle_list(section, "angle_bounds", "trajectory.angle_bounds")
-    drift_section = _section(section, "drift", path="trajectory.drift")
-    kind = drift_section.get("kind", "random_walk")
-    if kind == "random_walk":
-        _reject_unknown(drift_section, {"kind", "sigma_deg_per_step"}, "trajectory.drift")
-        drift = RandomWalkDrift(
-            _number(drift_section, "sigma_deg_per_step", "trajectory.drift.sigma_deg_per_step",
-                    default=DEFAULT_DRIFT_SIGMA)
-        )
-    elif kind == "scripted":
-        _reject_unknown(drift_section, {"kind", "waypoints"}, "trajectory.drift")
-        raw = drift_section.get("waypoints")
-        if not isinstance(raw, (list, tuple)) or not raw:
-            raise ConfigurationError("trajectory.drift.waypoints: expected a nonempty list")
-        waypoints = tuple(
-            _angle_list({"w": w}, "w", f"trajectory.drift.waypoints[{i}]", required=True)
-            for i, w in enumerate(raw)
-        )
-        drift = ScriptedDrift(waypoints)
-    else:
-        raise ConfigurationError(f"trajectory.drift.kind: unknown kind {kind!r}")
-    kwargs = dict(
-        num_steps=_number(section, "num_steps", "trajectory.num_steps",
-                          default=DEFAULT_NUM_STEPS, integer=True),
-        initial_angles=initial_set,
-        drift=drift,
-    )
-    if bounds is not None:
-        if len(bounds) != 2:
-            raise ConfigurationError("trajectory.angle_bounds: expected [low, high]")
-        kwargs["angle_bounds"] = bounds
-    try:
-        return TrajectoryConfig(**kwargs)
-    except EvobeamError as exc:
-        raise _located(exc, TrajectoryConfig, "trajectory") from exc
-
-
-def _build_optimizer(section) -> OptimizerConfig:
-    if "strategy" in section:
-        section = dict(section)
-        raw = section.pop("strategy")
-        try:
-            section["strategy"] = Strategy(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"optimizer.strategy: expected gradient or coordinate, got {raw!r}"
-            ) from None
-    return _build_dataclass(OptimizerConfig, section, "optimizer")
-
-
-def _build_dataclass(cls, section, path):
-    """Instantiate a config dataclass from a mapping, checking field names."""
-    known = {f.name for f in fields(cls)}
-    _reject_unknown(section, known, path)
-    try:
-        return cls(**section)
+        return cls(**values)
     except (EvobeamError, TypeError) as exc:
-        raise _located(exc, cls, path) from exc
+        raise _located(exc, path, keys) from exc
 
 
-def _located(exc, cls, path):
+def _located(exc, path, names=()):
     """exc as a ConfigurationError whose message starts with its field path.
 
-    A message that opens with a field name of cls gets that field's dotted
-    path; one that already carries the path is kept; any other message is
-    put under the section.
+    A message that already carries the path is kept; one that opens with
+    a field name from names gets that field's dotted path; any other
+    message is put under path.
     """
     message = str(exc)
-    if message.split(" ", 1)[0] in {f.name for f in fields(cls)}:
-        return ConfigurationError(f"{path}.{message}")
-    if message.startswith(f"{path}."):
+    if message.startswith(path):
         return ConfigurationError(message)
+    if message.split(" ", 1)[0] in names:
+        return ConfigurationError(f"{path}.{message}")
     return ConfigurationError(f"{path}: {message}")

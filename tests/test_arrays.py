@@ -10,6 +10,7 @@ from evobeam.arrays import (
     ArrayConstraints,
     ArrayGeometry,
     DoASet,
+    MAX_ELEMENTS,
     check_hermitian,
     gain_matrix,
     principal_eigenpair,
@@ -101,6 +102,34 @@ def test_whole_float_element_count_becomes_int():
     constraints = ArrayConstraints(num_elements=4.0)
     assert constraints.num_elements == 4
     assert type(constraints.num_elements) is int
+
+
+def test_element_count_above_the_cap_is_a_validation_error():
+    ArrayConstraints(num_elements=MAX_ELEMENTS, position_bound=1e9)
+    with pytest.raises(ValidationError, match=r"^num_elements must be an integer >= 1 and <= "):
+        ArrayConstraints(num_elements=MAX_ELEMENTS + 1, position_bound=1e9)
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [
+        ({"wavelength": 0.0}, ValidationError),
+        ({"wavelength": math.nan}, ValidationError),
+        ({"min_spacing": -1.0}, ValidationError),
+        ({"position_bound": math.inf}, ValidationError),
+        ({"positions": ()}, ValidationError),
+        ({"position_bound": 0.03}, ConfigurationError),  # two elements cannot fit
+    ],
+)
+def test_geometry_rejects_an_envelope_its_constraints_reject(overrides, error):
+    kwargs = dict(
+        wavelength=WAVELENGTH,
+        positions=(0.0, WAVELENGTH / 2),
+        min_spacing=WAVELENGTH / 2,
+        position_bound=5 * WAVELENGTH,
+    )
+    with pytest.raises(error):
+        ArrayGeometry(**{**kwargs, **overrides})
 
 
 def test_doa_set_validation():

@@ -11,6 +11,7 @@ from evobeam.channel import (
     ScriptedDrift,
     TrajectoryConfig,
     generate_trajectory,
+    noise_power,
     synthesize_csi,
 )
 from evobeam.errors import ValidationError
@@ -150,3 +151,17 @@ def test_batch_carries_truth_but_is_read_only():
 def test_csi_rejects_bad_snapshot_count():
     with pytest.raises(ValidationError):
         synthesize_csi(GEOMETRY, DoASet((90.0,)), 10.0, 0, seed=1)
+
+
+@pytest.mark.parametrize("snr_db", [-1e308, -3100.0, float("-inf"), float("nan")])
+def test_csi_rejects_an_snr_without_a_finite_noise_power(snr_db):
+    with pytest.raises(ValidationError, match=r"^snr_db\b"):
+        synthesize_csi(GEOMETRY, DoASet((70.0,)), snr_db, num_snapshots=1)
+
+
+def test_noise_power_is_finite_down_to_the_float_range():
+    assert noise_power(10.0) == 0.1
+    assert noise_power(-3000.0) == 1e300
+    assert noise_power(1e308) == 0.0
+    with pytest.raises(ValidationError, match=r"^csi\.snr_db\b"):
+        noise_power(-3090.0, "csi.snr_db")

@@ -6,7 +6,7 @@ import math
 import pytest
 import yaml
 
-from evobeam import cli
+from evobeam import cli, lifecycle
 from evobeam.arrays import ArrayConstraints, DoASet
 from evobeam.cli import main
 from evobeam.optimize import OptimizerConfig, Strategy, fixed_baseline, optimize_movable
@@ -165,6 +165,52 @@ class TestRun:
         assert main(run_args(config, tmp_path)) == 2
         assert "configuration error: csi.num_snapshots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, path",
+        [
+            ("optimizer:\n  restarts: 1000000000000000\n", "optimizer.restarts"),
+            (
+                "constraints:\n  num_elements: 1000000000\n  position_bound: 1.0e+9\n",
+                "constraints.num_elements",
+            ),
+            ("estimation:\n  grid_resolution_deg: 1.0e-12\n", "estimation.grid_resolution_deg"),
+            ("csi:\n  snr_db: -1.0e+308\n", "csi.snr_db"),
+        ],
+        ids=["restarts", "num_elements", "grid_resolution_deg", "snr_db"],
+    )
+    def test_value_that_cannot_run_exits_2_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, section, path
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("nothing may be solved")
+
+        monkeypatch.setattr(lifecycle, "optimize_movable", no_solve)
+        text = GOOD_CONFIG.replace("optimizer:\n  restarts: 4\n", "") + section
+        config = write_config(tmp_path, text)
+        assert main(run_args(config, tmp_path)) == 2
+        assert f"configuration error: {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("strategy", "coordinate"), ("seed", 3)])
+    def test_optimizer_field_the_episode_sets_exits_2(self, tmp_path, capsys, field, value):
+        config = write_config(tmp_path, GOOD_CONFIG + f"  {field}: {value}\n")
+        assert main(run_args(config, tmp_path)) == 2
+        assert f"configuration error: optimizer.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, path",
+        [("--steps=0", "trajectory.num_steps"), ("--snr=-1e308", "csi.snr_db")],
+    )
+    def test_override_that_cannot_run_exits_2_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, flag, path
+    ):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("the episode must not start")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        config = write_config(tmp_path)
+        assert main(run_args(config, tmp_path, flag)) == 2
+        assert f"configuration error: {path}" in capsys.readouterr().err
+
     def test_unknown_key_exits_2_and_names_the_key(self, tmp_path, capsys):
         config = write_config(tmp_path, GOOD_CONFIG + "turbo: true\n")
         assert main(run_args(config, tmp_path)) == 2
@@ -286,6 +332,23 @@ class TestOptimizeAndBaseline:
         out = capsys.readouterr().out
         expected = fixed_baseline(DoASet(angles), ArrayConstraints())
         assert f"{expected.gain_db:.6f}" in out
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--restarts", "1000000000000000"], "optimizer.restarts"),
+            (["--num-elements", "1000000000", "--position-bound", "1e9"], "num_elements"),
+        ],
+    )
+    def test_count_above_its_cap_exits_2_before_the_solve(
+        self, capsys, monkeypatch, flags, name
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("nothing may be solved")
+
+        monkeypatch.setattr(cli, "optimize_movable", no_solve)
+        assert main(["optimize", "60", "90", *flags]) == 2
+        assert f"configuration error: {name}" in capsys.readouterr().err
 
     def test_out_of_range_angle_exits_2(self, capsys):
         assert main(["optimize", "190"]) == 2

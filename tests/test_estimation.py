@@ -9,7 +9,12 @@ from numpy.testing import assert_allclose
 from evobeam.arrays import ArrayConstraints, DoASet, steering_vector
 from evobeam.channel import synthesize_csi
 from evobeam.errors import ValidationError
-from evobeam.estimation import _local_maxima, estimate_doas, sample_covariance
+from evobeam.estimation import (
+    MIN_GRID_RESOLUTION_DEG,
+    _local_maxima,
+    estimate_doas,
+    sample_covariance,
+)
 
 GEOMETRY = ArrayConstraints().uniform_geometry()
 
@@ -99,6 +104,20 @@ def test_estimator_rejects_too_many_sources():
         estimate_doas(np.eye(8, dtype=complex), GEOMETRY, num_sources=8)
     with pytest.raises(ValidationError):
         estimate_doas(np.eye(8, dtype=complex), GEOMETRY, num_sources=0)
+
+
+@pytest.mark.parametrize("resolution", [MIN_GRID_RESOLUTION_DEG / 2, 1e-12, 0.0, float("nan")])
+def test_estimator_rejects_a_grid_below_the_floor(resolution):
+    cov = analytic_covariance(GEOMETRY, (70.0,))
+    with pytest.raises(ValidationError, match=r"^grid_resolution_deg\b"):
+        estimate_doas(cov, GEOMETRY, 1, grid_resolution_deg=resolution)
+
+
+def test_estimator_scans_at_the_floor():
+    cov = analytic_covariance(GEOMETRY, (70.0,))
+    estimate = estimate_doas(cov, GEOMETRY, 1, MIN_GRID_RESOLUTION_DEG, (60.0, 80.0))
+    assert estimate.grid_deg.size == 2001
+    assert estimate.angles.angles_deg == pytest.approx((70.0,), abs=MIN_GRID_RESOLUTION_DEG)
 
 
 def test_spectrum_is_nonnegative():

@@ -14,7 +14,6 @@ from evobeam.lifecycle import (
     AgentRole,
     AppendOnlyLog,
     Blackboard,
-    EpisodeServices,
     EvaluationVerdict,
     TriggerDecision,
     TriggerReason,
@@ -53,20 +52,16 @@ def assert_valid_sequence(sequence):
         assert pair in LEGAL_PAIRS, f"illegal transition {pair}"
 
 
-def make_pair(**overrides):
-    """A fresh blackboard plus matching services for direct agent calls."""
-    constraints = overrides.pop("constraints", ArrayConstraints())
-    defaults = dict(
-        constraints=constraints,
-        optimizer_config=OptimizerConfig(restarts=4),
-        snr_db=10.0,
+def make_pair(constraints=None, true_angles=THREE_USERS):
+    """A fresh blackboard at true_angles plus a scenario for direct agent calls."""
+    trajectory = TrajectoryConfig(initial_angles=true_angles, num_steps=1)
+    scenario = ScenarioConfig(
+        trajectory=trajectory,
+        constraints=constraints or ArrayConstraints(),
+        optimizer=OptimizerConfig(restarts=4),
         num_snapshots=100,
-        num_sources=3,
-        master_seed=0,
-        true_angles=THREE_USERS,
     )
-    defaults.update(overrides)
-    return Blackboard(constraints=constraints), EpisodeServices(**defaults)
+    return Blackboard(true_angles=true_angles), scenario
 
 
 def ok_report(role):
@@ -127,22 +122,22 @@ class TestMonitoringCheck:
 
 class TestAgents:
     def test_training_without_estimate_fails_naming_the_field(self):
-        blackboard, services = make_pair()
+        blackboard, scenario = make_pair()
         blackboard.stage = AgentRole.TRAINING
-        report = agent_execute(AgentRole.TRAINING, blackboard, services)
+        report = agent_execute(AgentRole.TRAINING, blackboard, scenario)
         assert not report.ok
         assert report.reason == "latest_estimate missing"
 
     def test_wrong_stage_is_a_protocol_error(self):
-        blackboard, services = make_pair()
+        blackboard, scenario = make_pair()
         blackboard.stage = AgentRole.MONITORING
         with pytest.raises(ProtocolError):
-            agent_execute(AgentRole.TRAINING, blackboard, services)
+            agent_execute(AgentRole.TRAINING, blackboard, scenario)
 
     def test_data_collection_writes_what_it_reports(self):
-        blackboard, services = make_pair()
+        blackboard, scenario = make_pair()
         blackboard.stage = AgentRole.DATA_COLLECTION
-        report = agent_execute(AgentRole.DATA_COLLECTION, blackboard, services)
+        report = agent_execute(AgentRole.DATA_COLLECTION, blackboard, scenario)
         assert report.ok
         assert blackboard.latest_estimate is not None
         est = blackboard.latest_estimate.angles.angles_deg
@@ -150,29 +145,29 @@ class TestAgents:
             assert abs(estimated - true) <= 2.0
 
     def test_model_selection_picks_gradient_for_small_problems(self):
-        blackboard, services = make_pair()
+        blackboard, scenario = make_pair()
         blackboard.stage = AgentRole.DATA_COLLECTION
-        agent_execute(AgentRole.DATA_COLLECTION, blackboard, services)
+        agent_execute(AgentRole.DATA_COLLECTION, blackboard, scenario)
         blackboard.stage = AgentRole.MODEL_SELECTION
-        report = agent_execute(AgentRole.MODEL_SELECTION, blackboard, services)
+        report = agent_execute(AgentRole.MODEL_SELECTION, blackboard, scenario)
         assert report.ok
         assert blackboard.selected_strategy is Strategy.GRADIENT  # 3 * 8 <= 64
 
     def test_model_selection_picks_coordinate_for_large_problems(self):
         constraints = ArrayConstraints(num_elements=20)
         angles = DoASet((40.0, 70.0, 100.0, 130.0))
-        blackboard, services = make_pair(
-            constraints=constraints, num_sources=4, true_angles=angles
+        blackboard, scenario = make_pair(
+            constraints=constraints, true_angles=angles
         )
         blackboard.stage = AgentRole.DATA_COLLECTION
-        agent_execute(AgentRole.DATA_COLLECTION, blackboard, services)
+        agent_execute(AgentRole.DATA_COLLECTION, blackboard, scenario)
         blackboard.stage = AgentRole.MODEL_SELECTION
-        report = agent_execute(AgentRole.MODEL_SELECTION, blackboard, services)
+        report = agent_execute(AgentRole.MODEL_SELECTION, blackboard, scenario)
         assert report.ok
         assert blackboard.selected_strategy is Strategy.COORDINATE  # 4 * 20 > 64
 
     def test_full_manual_cycle_deploys_a_dominating_solution(self):
-        blackboard, services = make_pair()
+        blackboard, scenario = make_pair()
         blackboard.pending_event = _PendingEvent(
             trigger_step=0, reason=TriggerReason.HARDWARE_CHANGE, pre_gain_db=None
         )
@@ -185,7 +180,7 @@ class TestAgents:
             AgentRole.DEPLOYMENT,
         ]
         for role in order:
-            report = agent_execute(role, blackboard, services)
+            report = agent_execute(role, blackboard, scenario)
             assert report.ok, report.reason
             supervisor_next(blackboard, report)
         assert blackboard.stage is IDLE
@@ -198,10 +193,10 @@ class TestAgents:
         assert event.training_rounds == 1
 
     def test_evaluation_rejects_candidate_below_baseline(self):
-        blackboard, services = make_pair()
+        blackboard, scenario = make_pair()
         blackboard.stage = AgentRole.DATA_COLLECTION
-        agent_execute(AgentRole.DATA_COLLECTION, blackboard, services)
-        geometry = services.constraints.uniform_geometry()
+        agent_execute(AgentRole.DATA_COLLECTION, blackboard, scenario)
+        geometry = scenario.constraints.uniform_geometry()
         weights = [1.0] + [0.0] * (geometry.num_elements - 1)
         gain = sum_beam_gain(geometry, weights, blackboard.latest_estimate.angles)
         blackboard.candidate_solution = BeamformingSolution(
@@ -214,17 +209,17 @@ class TestAgents:
             strategy_used=Strategy.GRADIENT,
         )
         blackboard.stage = AgentRole.EVALUATION
-        report = agent_execute(AgentRole.EVALUATION, blackboard, services)
+        report = agent_execute(AgentRole.EVALUATION, blackboard, scenario)
         assert report.ok
         assert blackboard.evaluation_verdict is not None
         assert not blackboard.evaluation_verdict.passed
         assert "dB" in blackboard.evaluation_verdict.reason
 
     def test_evaluation_enforces_the_pre_trigger_gain_floor(self):
-        blackboard, services = make_pair()
+        blackboard, scenario = make_pair()
         blackboard.stage = AgentRole.DATA_COLLECTION
-        agent_execute(AgentRole.DATA_COLLECTION, blackboard, services)
-        baseline = fixed_baseline(blackboard.latest_estimate.angles, services.constraints)
+        agent_execute(AgentRole.DATA_COLLECTION, blackboard, scenario)
+        baseline = fixed_baseline(blackboard.latest_estimate.angles, scenario.constraints)
         blackboard.candidate_solution = baseline
         blackboard.pending_event = _PendingEvent(
             trigger_step=3,
@@ -233,36 +228,36 @@ class TestAgents:
         )
         blackboard.pending_event.agent_sequence.append(AgentRole.TRAINING)
         blackboard.stage = AgentRole.EVALUATION
-        report = agent_execute(AgentRole.EVALUATION, blackboard, services)
+        report = agent_execute(AgentRole.EVALUATION, blackboard, scenario)
         assert report.ok
         assert not blackboard.evaluation_verdict.passed
 
     def test_deployment_refuses_a_failed_verdict(self):
-        blackboard, services = make_pair()
-        baseline = fixed_baseline(THREE_USERS, services.constraints)
+        blackboard, scenario = make_pair()
+        baseline = fixed_baseline(THREE_USERS, scenario.constraints)
         blackboard.candidate_solution = baseline
         blackboard.evaluation_verdict = EvaluationVerdict(False, reason="too weak")
         blackboard.stage = AgentRole.DEPLOYMENT
-        report = agent_execute(AgentRole.DEPLOYMENT, blackboard, services)
+        report = agent_execute(AgentRole.DEPLOYMENT, blackboard, scenario)
         assert not report.ok
         assert blackboard.deployed_solution is None
 
     def test_monitoring_requires_a_deployed_solution(self):
-        blackboard, services = make_pair()
+        blackboard, scenario = make_pair()
         blackboard.stage = AgentRole.MONITORING
-        report = agent_execute(AgentRole.MONITORING, blackboard, services)
+        report = agent_execute(AgentRole.MONITORING, blackboard, scenario)
         assert not report.ok
         assert report.reason == "deployed_solution missing"
 
     def test_monitoring_appends_a_record_when_healthy(self):
         from evobeam.optimize import optimize_movable
 
-        blackboard, services = make_pair()
+        blackboard, scenario = make_pair()
         blackboard.deployed_solution = optimize_movable(
-            THREE_USERS, services.optimizer_config, services.constraints
+            THREE_USERS, scenario.optimizer, scenario.constraints
         )
         blackboard.stage = AgentRole.MONITORING
-        report = agent_execute(AgentRole.MONITORING, blackboard, services)
+        report = agent_execute(AgentRole.MONITORING, blackboard, scenario)
         assert report.ok
         assert len(blackboard.metrics_history) == 1
         record = blackboard.metrics_history[0]
@@ -352,8 +347,8 @@ class TestSupervisorRouting:
             supervisor_next(blackboard, ok_report(AgentRole.MONITORING))
 
     def test_training_round_cap_forces_a_degraded_deployment(self):
-        blackboard, services = make_pair()
-        best = fixed_baseline(THREE_USERS, services.constraints)
+        blackboard, scenario = make_pair()
+        best = fixed_baseline(THREE_USERS, scenario.constraints)
         pending = _PendingEvent(
             trigger_step=2, reason=TriggerReason.BELOW_BASELINE, pre_gain_db=20.0
         )
@@ -458,7 +453,7 @@ class TestEpisodes:
     def test_injected_training_failure_aborts_without_raising(self, monkeypatch):
         import evobeam.lifecycle as lifecycle
 
-        def broken_training(blackboard, services):
+        def broken_training(blackboard, scenario):
             return AgentReport(
                 role=AgentRole.TRAINING, ok=False, message="down", reason="solver offline"
             )
@@ -483,8 +478,8 @@ class TestEpisodes:
 
         real_evaluation = lifecycle._HANDLERS[AgentRole.EVALUATION]
 
-        def harsh_evaluation(blackboard, services):
-            report = real_evaluation(blackboard, services)
+        def harsh_evaluation(blackboard, scenario):
+            report = real_evaluation(blackboard, scenario)
             blackboard.evaluation_verdict = EvaluationVerdict(False, reason="never enough")
             return report
 

@@ -8,7 +8,6 @@ import time
 import pytest
 from conftest import SENTINEL_KEY, MockEndpoint
 
-from evobeam.arrays import ArrayConstraints
 from evobeam.errors import ConfigurationError, ValidationError
 from evobeam.lifecycle import (
     IDLE,
@@ -41,7 +40,7 @@ def make_config(url, timeout_s=5.0, max_retries=0):
 
 
 def triggered_prompt(fallback=AgentRole.DATA_COLLECTION):
-    blackboard = Blackboard(constraints=ArrayConstraints())
+    blackboard = Blackboard()
     blackboard.step_index = 7
     blackboard.stage = AgentRole.MONITORING
     blackboard.trigger_decision = TriggerDecision(
@@ -115,7 +114,7 @@ class TestPrompt:
         assert "7.8169" in prompt.text
 
     def test_long_report_messages_are_clipped(self):
-        blackboard = Blackboard(constraints=ArrayConstraints())
+        blackboard = Blackboard()
         blackboard.stage = AgentRole.TRAINING
         report = AgentReport(role=AgentRole.TRAINING, ok=True, message="x" * 100000)
         prompt = build_routing_prompt(blackboard, report, AgentRole.EVALUATION)

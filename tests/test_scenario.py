@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evobeam.arrays import MAX_ELEMENTS
 from evobeam.errors import ConfigurationError
+from evobeam.estimation import MIN_GRID_RESOLUTION_DEG
+from evobeam.optimize import MAX_RESTARTS
 from evobeam.scenario import MAX_SNAPSHOTS, ScenarioConfig, scenario_from_mapping
 
 
@@ -78,6 +81,49 @@ def test_snapshot_count_above_the_cap_is_rejected_with_its_path(value):
 def test_snapshot_count_at_the_cap_loads():
     config = scenario_from_mapping(with_value("csi.num_snapshots", MAX_SNAPSHOTS))
     assert config.num_snapshots == MAX_SNAPSHOTS
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("optimizer.restarts", MAX_RESTARTS + 1),
+        ("optimizer.restarts", 10**15),
+        ("constraints.num_elements", MAX_ELEMENTS + 1),
+        ("constraints.num_elements", 10**9),
+        ("estimation.grid_resolution_deg", MIN_GRID_RESOLUTION_DEG / 2),
+        ("estimation.grid_resolution_deg", 1e-12),
+        ("csi.snr_db", -1e308),
+        ("csi.snr_db", -3100.0),
+        ("trajectory.num_steps", 0),
+    ],
+)
+def test_value_that_cannot_run_is_rejected_with_its_path(path, value):
+    # the loader builds no arrays, so a huge count costs nothing here; the
+    # wide bound fits any element count, so only the cap can reject one
+    mapping = with_value(path, value)
+    mapping.setdefault("constraints", {})["position_bound"] = 1e9
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(path)}\b"):
+        scenario_from_mapping(mapping)
+
+
+def test_values_at_the_caps_load():
+    mapping = minimal_mapping(
+        optimizer={"restarts": MAX_RESTARTS},
+        constraints={"num_elements": MAX_ELEMENTS, "position_bound": 1e9},
+        estimation={"grid_resolution_deg": MIN_GRID_RESOLUTION_DEG},
+        csi={"snr_db": -3000.0},
+    )
+    config = scenario_from_mapping(mapping)
+    assert config.optimizer.restarts == MAX_RESTARTS
+    assert config.constraints.num_elements == MAX_ELEMENTS
+
+
+@pytest.mark.parametrize("field, value", [("strategy", "coordinate"), ("seed", 3)])
+def test_optimizer_fields_the_episode_sets_are_rejected_with_their_path(field, value):
+    # ModelSelection picks the search and Training derives its own seed,
+    # so a value here would be silently replaced
+    with pytest.raises(ConfigurationError, match=rf"^optimizer\.{field}\b"):
+        scenario_from_mapping(minimal_mapping(optimizer={field: value, "restarts": 2}))
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan", "1e400"])
@@ -154,14 +200,12 @@ SCHEMA = {
         "position_bound": 0.625,
     },
     "optimizer": {
-        "strategy": "coordinate",
         "restarts": 2,
         "step_size": 0.05,
         "grid_resolution": 0.01,
         "max_outer_iterations": 5,
         "gain_tolerance_db": 1e-6,
         "max_step_halvings": 3,
-        "seed": 1,
     },
     "monitoring": {"relative_drop_threshold_db": 3.0},
     "csi": {"snr_db": 10.0, "num_snapshots": 50},
