@@ -45,7 +45,6 @@ from evobeam.lifecycle import (
 from evobeam.optimize import (
     BeamformingSolution,
     OptimizerConfig,
-    Strategy,
     fixed_baseline,
     optimal_weights,
     optimize_movable,
@@ -74,7 +73,6 @@ __all__ = [
     "RandomWalkDrift",
     "ScenarioConfig",
     "ScriptedDrift",
-    "Strategy",
     "TrajectoryConfig",
     "TriggerReason",
     "ValidationError",

@@ -21,6 +21,9 @@ from .errors import ValidationError, check_count, check_finite
 DEFAULT_SNAPSHOTS = 200
 DEFAULT_ANGLE_BOUNDS = (5.0, 175.0)
 DEFAULT_NUM_STEPS = 50
+# generate_trajectory builds the whole trajectory before step 0, so an
+# unbounded step count would hold memory and time before any work is done
+MAX_STEPS = 100_000
 DEFAULT_DRIFT_SIGMA = 1.0
 
 # Inward offset used to keep clamped angles pairwise distinct.
@@ -64,7 +67,7 @@ class TrajectoryConfig:
     seed: int = 0
 
     def __post_init__(self):
-        num_steps = check_count("trajectory.num_steps", self.num_steps, 1)
+        num_steps = check_count("trajectory.num_steps", self.num_steps, 1, MAX_STEPS)
         object.__setattr__(self, "num_steps", num_steps)
         bounds = self.angle_bounds
         if len(bounds) != 2 or not 0.0 < bounds[0] < bounds[1] < 180.0:

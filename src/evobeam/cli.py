@@ -23,7 +23,7 @@ from .arrays import ArrayConstraints, DoASet
 from .errors import ConfigurationError, EvobeamError, ValidationError
 from .lifecycle import run_episode
 from .llm import EndpointConfig, make_router
-from .optimize import OptimizerConfig, Strategy, fixed_baseline, optimize_movable
+from .optimize import OptimizerConfig, fixed_baseline, optimize_movable
 from .reporting import write_events_json, write_metrics_csv
 from .scenario import default_scenario, load_scenario
 
@@ -60,12 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument("angles", nargs="+", type=float, help="directions in degrees")
     _constraint_flags(optimize)
-    optimize.add_argument(
-        "--strategy",
-        choices=["gradient", "coordinate", "auto"],
-        default="gradient",
-        help="position search strategy; auto runs both and reports the best",
-    )
     optimize.add_argument("--restarts", type=int, default=16)
     optimize.add_argument("--seed", type=int, default=0)
     optimize.set_defaults(func=cmd_optimize)
@@ -163,23 +157,9 @@ def cmd_optimize(args) -> int:
     constraints = _constraints(args)
     doas = DoASet(tuple(args.angles))
     base = fixed_baseline(doas, constraints)
-    if args.strategy == "auto":
-        candidates = [
-            optimize_movable(
-                doas,
-                OptimizerConfig(strategy=strategy, restarts=args.restarts, seed=args.seed),
-                constraints,
-            )
-            for strategy in (Strategy.GRADIENT, Strategy.COORDINATE)
-        ]
-        solution = max(candidates, key=lambda s: s.gain_db)
-    else:
-        config = OptimizerConfig(
-            strategy=Strategy(args.strategy), restarts=args.restarts, seed=args.seed
-        )
-        solution = optimize_movable(doas, config, constraints)
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    solution = optimize_movable(doas, config, constraints)
     print(f"directions (deg): {', '.join(f'{a:g}' for a in doas.angles_deg)}")
-    print(f"strategy: {solution.strategy_used.value}")
     print(f"positions (wavelengths): [{_positions_wl(solution.geometry, constraints)}]")
     print(
         f"gain: {_g(solution.gain_db)} dB after {solution.iterations} iterations "

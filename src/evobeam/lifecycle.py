@@ -21,7 +21,7 @@ from .arrays import DoASet, sum_beam_gain
 from .channel import generate_trajectory, synthesize_csi
 from .errors import EvobeamError, ProtocolError, ValidationError
 from .estimation import DoaEstimate, estimate_doas, sample_covariance
-from .optimize import BeamformingSolution, Strategy, fixed_baseline, optimize_movable
+from .optimize import BeamformingSolution, fixed_baseline, optimize_movable
 from .scenario import DEFAULT_RELATIVE_DROP_DB, ScenarioConfig
 
 MAX_TRAINING_ROUNDS = 5
@@ -185,7 +185,6 @@ class Blackboard:
     deployed_solution: BeamformingSolution | None = None
     baseline_solution: BeamformingSolution | None = None
     latest_estimate: DoaEstimate | None = None
-    selected_strategy: Strategy | None = None
     candidate_solution: BeamformingSolution | None = None
     evaluation_verdict: EvaluationVerdict | None = None
     trigger_decision: TriggerDecision | None = None
@@ -405,25 +404,24 @@ def _run_model_selection(blackboard, scenario):
         return _missing(AgentRole.MODEL_SELECTION, "latest_estimate")
     k = len(blackboard.latest_estimate.angles)
     n = scenario.constraints.num_elements
-    strategy = Strategy.GRADIENT if k * n <= 64 else Strategy.COORDINATE
-    blackboard.selected_strategy = strategy
+    budget = scenario.optimizer
     return AgentReport(
         role=AgentRole.MODEL_SELECTION,
         ok=True,
-        message=f"problem size {k}x{n}, selected {strategy.value} search",
+        message=(
+            f"problem size {k}x{n}, gradient search with {budget.restarts} restarts "
+            f"of up to {budget.max_outer_iterations} iterations"
+        ),
     )
 
 
 def _run_training(blackboard, scenario):
     if blackboard.latest_estimate is None:
         return _missing(AgentRole.TRAINING, "latest_estimate")
-    if blackboard.selected_strategy is None:
-        return _missing(AgentRole.TRAINING, "selected_strategy")
     pending = blackboard.pending_event
     attempt = pending.agent_sequence.count(AgentRole.TRAINING) - 1 if pending else 0
     config = replace(
         scenario.optimizer,
-        strategy=blackboard.selected_strategy,
         seed=_derive_seed(scenario.seed, _STREAM_OPTIMIZER, blackboard.step_index, max(attempt, 0)),
     )
     candidate = optimize_movable(blackboard.latest_estimate.angles, config, scenario.constraints)
@@ -535,11 +533,7 @@ def _run_monitoring(blackboard, scenario):
     blackboard.baseline_solution = baseline
     blackboard.trigger_decision = decision
     blackboard.last_deployed_gain_db = decision.deployed_gain_db
-    if decision.trigger:
-        state = f"trigger {decision.reason.value}"
-    else:
-        _append_step_record(blackboard, scenario, evolved=False, reason=None)
-        state = "healthy"
+    state = f"trigger {decision.reason.value}" if decision.trigger else "healthy"
     return AgentReport(
         role=AgentRole.MONITORING,
         ok=True,
@@ -630,7 +624,6 @@ def run_episode(scenario: ScenarioConfig, router=None) -> EpisodeResult:
     for step, true_doas in enumerate(trajectory):
         blackboard.step_index = step
         blackboard.true_angles = true_doas
-        records_before = len(blackboard.metrics_history)
         events_before = len(blackboard.event_log)
         if step == 0:
             blackboard.pending_event = _PendingEvent(
@@ -646,9 +639,8 @@ def run_episode(scenario: ScenarioConfig, router=None) -> EpisodeResult:
             decision = blackboard.trigger_decision
             if decision is not None and decision.trigger:
                 reason = decision.reason
-        if len(blackboard.metrics_history) == records_before:
-            evolved = len(blackboard.event_log) > events_before
-            _append_step_record(blackboard, scenario, evolved=evolved, reason=reason)
+        evolved = len(blackboard.event_log) > events_before
+        _append_step_record(blackboard, scenario, evolved=evolved, reason=reason)
     return EpisodeResult(
         metrics_history=tuple(blackboard.metrics_history),
         event_log=tuple(blackboard.event_log),

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -27,14 +26,10 @@ from .arrays import (
 )
 from .errors import ConfigurationError, ValidationError, check_count, check_positive_finite
 
-# Batched temporaries (the K x K eigenvector matrices gathered for the
-# candidates of a coordinate sweep, the block-mean tables of the
-# projection) are built in blocks of at most this many entries (256 KiB of
-# complex numbers), so their memory does not grow with the number of
-# restarts or the grid size.
+# The projection builds its N x N block-mean tables for at most this many
+# entries at a time (128 KiB of floats), so its memory does not grow with
+# the number of restarts.
 _BLOCK_ENTRIES = 1 << 14
-
-_EPS = np.finfo(float).eps
 
 # every restart adds a row of positions and a K x N complex steering matrix
 # to each batched update (up to 0.25 MB at arrays.MAX_ELEMENTS); an
@@ -42,37 +37,22 @@ _EPS = np.finfo(float).eps
 MAX_RESTARTS = 1024
 
 
-class Strategy(str, Enum):
-    """Position search strategies."""
-
-    GRADIENT = "gradient"
-    COORDINATE = "coordinate"
-    BASELINE = "baseline"
-
-
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs for optimize_movable.
 
-    step_size and grid_resolution are expressed in wavelengths.
-    gain_tolerance_db is the stopping threshold on per-iteration dB
-    improvement.
+    step_size is expressed in wavelengths. gain_tolerance_db is the
+    stopping threshold on per-iteration dB improvement.
     """
 
-    strategy: Strategy = Strategy.GRADIENT
     restarts: int = 16
     step_size: float = 0.05
-    grid_resolution: float = 0.01
     max_outer_iterations: int = 500
     gain_tolerance_db: float = 1e-6
     max_step_halvings: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        if self.strategy not in (Strategy.GRADIENT, Strategy.COORDINATE):
-            raise ValidationError(
-                f"optimizer.strategy must be gradient or coordinate, got {self.strategy}"
-            )
         for name, minimum, maximum in (
             ("restarts", 1, MAX_RESTARTS),
             ("max_outer_iterations", 1, None),
@@ -80,7 +60,7 @@ class OptimizerConfig:
         ):
             count = check_count(f"optimizer.{name}", getattr(self, name), minimum, maximum)
             object.__setattr__(self, name, count)
-        for name in ("step_size", "grid_resolution", "gain_tolerance_db"):
+        for name in ("step_size", "gain_tolerance_db"):
             check_positive_finite(f"optimizer.{name}", getattr(self, name))
 
 
@@ -98,7 +78,6 @@ class BeamformingSolution:
     gain_db: float
     converged: bool
     iterations: int
-    strategy_used: Strategy
     restart_index: int = 0
     gain_history_db: tuple = field(default=())
 
@@ -206,7 +185,6 @@ def fixed_baseline(doas: DoASet, constraints: ArrayConstraints) -> BeamformingSo
         gain_db=gain.db,
         converged=True,
         iterations=pair.iterations,
-        strategy_used=Strategy.BASELINE,
         restart_index=0,
         gain_history_db=(gain.db,),
     )
@@ -222,12 +200,11 @@ def optimize_movable(
     Multi-start: restart 0 begins at the uniform centered layout, so the
     result can never fall below the fixed baseline; the remaining restarts
     begin at seeded random feasible layouts. Each restart alternates an
-    exact weight update with one position update (a projected gradient step
-    or one round of per-coordinate grid search) and stops once the dB gain
-    improves by less than gain_tolerance_db. The restarts advance in
-    lockstep as one batch, and every update is vectorized over the restarts
-    still running, projection included. The best restart wins; at equal
-    gain the lowest restart index wins.
+    exact weight update with one projected gradient step on the positions
+    and stops once the dB gain improves by less than gain_tolerance_db.
+    The restarts advance in lockstep as one batch, and every update is
+    vectorized over the restarts still running, projection included. The
+    best restart wins; at equal gain the lowest restart index wins.
 
     Returns:
         BeamformingSolution for the winning restart, with the recorded
@@ -241,7 +218,6 @@ def optimize_movable(
     for restart in range(1, config.restarts):
         x[restart] = np.sort(np.random.default_rng(config.seed + restart).uniform(-b, b, n))
     x[1:] = project_positions(x[1:], constraints)
-    update = _gradient_steps if config.strategy is Strategy.GRADIENT else _coordinate_sweeps
 
     obj = _lambda_max(_gram(_steering(x, alpha)))
     histories = [[_to_db(v)] for v in obj]
@@ -250,7 +226,7 @@ def optimize_movable(
     active = np.arange(config.restarts)
     for iteration in range(1, config.max_outer_iterations + 1):
         x_active, obj_active = x[active], obj[active]
-        update(x_active, obj_active, alpha, config, constraints)
+        _gradient_steps(x_active, obj_active, alpha, config, constraints)
         x[active], obj[active] = x_active, obj_active
         iterations[active] = iteration
         for restart, value in zip(active, obj_active):
@@ -272,7 +248,6 @@ def optimize_movable(
         gain_db=gain.db,
         converged=bool(converged[restart]),
         iterations=int(iterations[restart]),
-        strategy_used=config.strategy,
         restart_index=restart,
         gain_history_db=tuple(histories[restart]),
     )
@@ -302,105 +277,6 @@ def _gradient_steps(x, obj, alpha, config, constraints):
         if pending.size == 0:
             break
         step /= 2
-
-
-def _coordinate_sweeps(x, obj, alpha, config, constraints):
-    """One Gauss-Seidel sweep of grid line searches, coordinate by coordinate.
-
-    x (rows, N) and obj (rows,) are updated in place. For coordinate i each
-    row scans a grid from its lower to its upper feasible limit, with the
-    upper limit appended when the grid misses it, and moves to the first
-    best candidate if that beats its objective. Moving element i replaces
-    row s_i of the steering matrix, so a candidate at c scores
-    lambda_max(G - s_i^H s_i + s_c^H s_c), a rank-one update of a matrix
-    that all of the row's candidates share. One eigendecomposition of that
-    matrix per row turns every candidate's score into the largest root of
-    a secular equation (_rank_one_lambda_max): O(K^2) per candidate.
-    """
-    d = constraints.min_spacing
-    b = constraints.position_bound
-    res = config.grid_resolution * constraints.wavelength
-    rows, n = x.shape
-    k = alpha.shape[0]
-    block = max(1, _BLOCK_ENTRIES // (k * k))
-    s = _steering(x, alpha)
-    for i in range(n):
-        lo = np.maximum(x[:, i - 1] + d, -b) if i > 0 else np.full(rows, -b)
-        hi = np.minimum(x[:, i + 1] - d, b) if i < n - 1 else np.full(rows, b)
-        valid = hi >= lo
-        grid = np.where(valid, np.floor((hi - lo) / res) + 1, 0).astype(int)
-        counts = grid + (valid & (lo + res * (grid - 1) < hi - 1e-15))
-        ends = np.cumsum(counts)
-        # recomputed from the steering of the current positions for every
-        # coordinate, so rounding error never accumulates across coordinates
-        rest = _gram(s) - s[:, i, :, None].conj() * s[:, i, None, :]
-        rest_values, rest_vectors = np.linalg.eigh(rest)
-        best = obj.copy()
-        best_at = x[:, i].copy()
-        for start in range(0, int(ends[-1]), block):
-            pair = np.arange(start, min(start + block, int(ends[-1])))
-            row = np.searchsorted(ends, pair, side="right")
-            index = pair - (ends[row] - counts[row])
-            candidate = np.where(index == grid[row], hi[row], lo[row] + res * index)
-            value = _rank_one_lambda_max(
-                rest_values[row], rest_vectors[row], _steering(candidate, alpha)
-            )
-            # first maximum of every row's run of pairs in this block
-            opens = np.concatenate(([True], row[1:] != row[:-1]))
-            head = np.flatnonzero(opens)
-            peak = np.maximum.reduceat(value, head)[np.cumsum(opens) - 1]
-            at_peak = np.where(value == peak, np.arange(pair.size), pair.size)
-            pick = np.minimum.reduceat(at_peak, head)
-            owner = row[head]
-            better = value[pick] > best[owner]
-            best[owner[better]] = value[pick[better]]
-            best_at[owner[better]] = candidate[pick[better]]
-        x[:, i] = best_at
-        s[:, i] = _steering(best_at, alpha)
-        obj[:] = best
-
-
-def _rank_one_lambda_max(values, vectors, sc):
-    """lambda_max(V diag(values) V^H + conj(sc) sc^T) for every row.
-
-    values (rows, K) ascending and vectors (rows, K, K) are an
-    eigendecomposition of a Hermitian matrix, sc (rows, K) the rank-one
-    term. In the eigenbasis the matrix is diag(d) + v v^H with
-    z = |v|^2 = |sc V|^2, so its largest eigenvalue is the larger of max d
-    and the largest root of the secular equation
-    psi(lam) = sum_j z_j / (lam - d_j) = 1 (Golub 1973; Bunch, Nielsen &
-    Sorensen 1978).
-
-    Weights at rounding level are deflated: their poles drop out of psi
-    and stay eigenvalues on their own. Above the remaining poles 1/psi is
-    concave and increasing, so Newton's method on 1/psi = 1 never
-    overshoots the root. It starts at the lower bound
-    max(max_j (d_j + z_j), max d), rises monotonically, and stops each row
-    at its first step that no longer rises; a row whose start is a
-    deflated pole above the root stops there at once. Every gap lam - d_j
-    of a weighted pole stays positive, so every score is finite.
-    """
-    z = np.matmul(sc[:, None, :], vectors)[:, 0, :]
-    z = z.real**2 + z.imag**2
-    deflated = z <= _EPS * (np.abs(values).max(axis=1) + np.add.reduce(z, axis=1))[:, None]
-    # a deflated pole at -inf contributes z / inf = 0 to every sum
-    poles = np.where(deflated, -np.inf, values)
-    lam = np.maximum((poles + z).max(axis=1), values[:, -1])
-    live = np.flatnonzero(~deflated.all(axis=1))
-    poles, z, at = poles[live], z[live], lam[live]
-    while live.size:
-        gap = at[:, None] - poles
-        term = z / gap
-        psi = np.add.reduce(term, axis=1)
-        # Newton step on 1/psi - 1, whose derivative is sum_j z_j / gap_j^2 / psi^2
-        new = at + (psi - 1.0) * psi / np.add.reduce(term / gap, axis=1)
-        rising = new > at
-        if rising.all():
-            at = new
-            continue
-        lam[live] = np.where(rising, new, at)
-        live, poles, z, at = live[rising], poles[rising], z[rising], new[rising]
-    return lam
 
 
 def _steering(positions, alpha):

@@ -22,7 +22,6 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
     optimizer:                          # optional search budget, defaults shown
       restarts: 16
       step_size: 0.05
-      grid_resolution: 0.01
       max_outer_iterations: 500
       gain_tolerance_db: 1.0e-6
       max_step_halvings: 20
@@ -38,10 +37,10 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
       model_name: "gpt-4o"
       api_key_env: EVOBEAM_API_KEY
 
-The optimizer section takes no strategy and no seed: ModelSelection picks
-the search from the problem size, and every Training run draws its seed
-from the scenario seed. Loader errors carry the dotted path of the
-offending field.
+The optimizer section sets the budget of the one position search, projected
+gradient ascent. It takes no seed: every Training run draws its seed from
+the scenario seed. Loader errors carry the dotted path of the offending
+field.
 """
 
 from __future__ import annotations
@@ -109,9 +108,9 @@ class ScenarioConfig:
     """Everything run_episode needs, validated at construction.
 
     seed drives every random stream of the episode: trajectory, CSI noise
-    and optimizer restarts. run_episode replaces trajectory.seed and
-    optimizer.seed with streams derived from it, and ModelSelection
-    replaces optimizer.strategy, so the episode never reads those three.
+    and optimizer restarts. run_episode and Training replace
+    trajectory.seed and optimizer.seed with streams derived from it, so the
+    episode never reads those two.
     """
 
     trajectory: TrajectoryConfig
@@ -169,7 +168,7 @@ def load_scenario(path) -> ScenarioConfig:
 
 # YAML section -> (the config class it builds, the keys it takes), each key
 # the name of the field it fills. The ScenarioConfig sections fill its own
-# fields. optimizer takes neither strategy nor seed; see ScenarioConfig.
+# fields. optimizer takes no seed; see ScenarioConfig.
 _SECTIONS = {
     "trajectory": (TrajectoryConfig, ("num_steps", "initial_angles", "angle_bounds", "drift")),
     "constraints": (
@@ -181,7 +180,6 @@ _SECTIONS = {
         (
             "restarts",
             "step_size",
-            "grid_resolution",
             "max_outer_iterations",
             "gain_tolerance_db",
             "max_step_halvings",

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from evobeam.arrays import ArrayConstraints, DoASet, steering_vector
 from evobeam.channel import (
+    MAX_STEPS,
     CsiSnapshotBatch,
     RandomWalkDrift,
     ScriptedDrift,
@@ -62,6 +63,17 @@ def test_walk_step_sizes_stay_within_six_sigma():
     deltas = np.abs(np.diff(arr, axis=0))
     assert deltas.size >= 10000
     assert np.max(deltas) <= 6 * sigma
+
+
+def test_step_count_at_the_cap_is_accepted():
+    assert walk_config(1.0, steps=MAX_STEPS).num_steps == MAX_STEPS
+
+
+@pytest.mark.parametrize("steps", [0, MAX_STEPS + 1, 10**9])
+def test_step_count_outside_its_range_is_rejected_naming_the_field(steps):
+    # the whole trajectory is built before step 0, so the count is capped
+    with pytest.raises(ValidationError, match=r"trajectory\.num_steps"):
+        walk_config(1.0, steps=steps)
 
 
 def test_scripted_trajectory_plays_waypoints_verbatim():

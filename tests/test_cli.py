@@ -9,7 +9,8 @@ import yaml
 from evobeam import cli, lifecycle
 from evobeam.arrays import ArrayConstraints, DoASet
 from evobeam.cli import main
-from evobeam.optimize import OptimizerConfig, Strategy, fixed_baseline, optimize_movable
+from evobeam.channel import MAX_STEPS
+from evobeam.optimize import OptimizerConfig, fixed_baseline, optimize_movable
 from evobeam.reporting import read_events_json, read_metrics_csv
 
 from conftest import SENTINEL_KEY
@@ -113,7 +114,7 @@ class TestRun:
         assert main(run_args(config, tmp_path)) == 2
         assert f"optimizer.{field}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", ["step_size", "grid_resolution", "gain_tolerance_db"])
+    @pytest.mark.parametrize("field", ["step_size", "gain_tolerance_db"])
     def test_non_finite_optimizer_float_exits_2_naming_the_field(
         self, tmp_path, capsys, field
     ):
@@ -190,15 +191,22 @@ class TestRun:
         assert main(run_args(config, tmp_path)) == 2
         assert f"configuration error: {path}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("strategy", "coordinate"), ("seed", 3)])
-    def test_optimizer_field_the_episode_sets_exits_2(self, tmp_path, capsys, field, value):
+    @pytest.mark.parametrize(
+        "field, value", [("strategy", "coordinate"), ("seed", 3), ("grid_resolution", 0.01)]
+    )
+    def test_unknown_optimizer_field_exits_2(self, tmp_path, capsys, field, value):
         config = write_config(tmp_path, GOOD_CONFIG + f"  {field}: {value}\n")
         assert main(run_args(config, tmp_path)) == 2
         assert f"configuration error: optimizer.{field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, path",
-        [("--steps=0", "trajectory.num_steps"), ("--snr=-1e308", "csi.snr_db")],
+        [
+            ("--steps=0", "trajectory.num_steps"),
+            (f"--steps={MAX_STEPS + 1}", "trajectory.num_steps"),
+            ("--steps=1000000000", "trajectory.num_steps"),
+            ("--snr=-1e308", "csi.snr_db"),
+        ],
     )
     def test_override_that_cannot_run_exits_2_naming_the_field(
         self, tmp_path, capsys, monkeypatch, flag, path
@@ -300,31 +308,32 @@ class TestOptimizeAndBaseline:
         fixed = float(lines["fixed baseline"].split(":")[1].split()[0])
         assert gain >= fixed - 1e-9
 
-    def test_strategy_coordinate_is_accepted(self, capsys):
-        assert main(["optimize", "80", "100", "--strategy", "coordinate",
-                     "--restarts", "2"]) == 0
-        assert "coordinate" in capsys.readouterr().out
-
-    def test_strategy_auto_picks_the_better_gain(self, capsys):
-        assert main(["optimize", "60", "90", "120", "--strategy", "auto",
-                     "--restarts", "2", "--seed", "3"]) == 0
+    def test_optimize_prints_no_strategy_line(self, capsys):
+        assert main(["optimize", "80", "100", "--restarts", "2"]) == 0
         out = capsys.readouterr().out
-        printed = float(
-            [l for l in out.splitlines() if l.startswith("gain:")][0]
-            .split(":")[1].split()[0]
+        assert [l.split(":")[0] for l in out.splitlines()] == [
+            "directions (deg)", "positions (wavelengths)", "gain", "fixed baseline",
+        ]
+
+    def test_optimize_on_a_wide_array_matches_library_result(self, capsys):
+        angles = (40.0, 70.0, 100.0, 130.0, 160.0)
+        assert main([
+            "optimize", *[str(a) for a in angles],
+            "--num-elements", "16", "--restarts", "2", "--seed", "1",
+        ]) == 0
+        out = capsys.readouterr().out
+        solution = optimize_movable(
+            DoASet(angles),
+            OptimizerConfig(restarts=2, seed=1),
+            ArrayConstraints(num_elements=16),
         )
-        doas = DoASet((60.0, 90.0, 120.0))
-        constraints = ArrayConstraints()
-        best = max(
-            (
-                optimize_movable(
-                    doas, OptimizerConfig(strategy=s, restarts=2, seed=3), constraints
-                )
-                for s in (Strategy.GRADIENT, Strategy.COORDINATE)
-            ),
-            key=lambda s: s.gain_db,
-        )
-        assert printed == pytest.approx(best.gain_db, abs=1e-6)
+        assert f"gain: {solution.gain_db:.6f} dB" in out
+
+    def test_optimize_has_no_strategy_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["optimize", "80", "100", "--strategy", "gradient"])
+        assert exc.value.code == 2
+        assert "--strategy" in capsys.readouterr().err
 
     def test_baseline_matches_library_gain(self, capsys):
         angles = (40.0, 90.0, 140.0)

@@ -1,6 +1,7 @@
 """Agent cycle, supervisor routing, and full-episode behavior."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -17,16 +18,19 @@ from evobeam.lifecycle import (
     EvaluationVerdict,
     TriggerDecision,
     TriggerReason,
+    _STREAM_OPTIMIZER,
     _PendingEvent,
+    _derive_seed,
     agent_execute,
     monitoring_check,
     run_episode,
     supervisor_next,
 )
-from evobeam.optimize import BeamformingSolution, OptimizerConfig, Strategy, fixed_baseline
+from evobeam.optimize import BeamformingSolution, OptimizerConfig, fixed_baseline, optimize_movable
 from evobeam.scenario import ScenarioConfig, default_scenario
 
 THREE_USERS = DoASet((60.0, 90.0, 120.0))
+FOUR_USERS = DoASet((40.0, 70.0, 100.0, 130.0))
 
 # legal consecutive role pairs in an event's agent sequence; a role may
 # repeat itself once through the retry rule, and Evaluation may send the
@@ -144,27 +148,37 @@ class TestAgents:
         for estimated, true in zip(est, THREE_USERS.angles_deg):
             assert abs(estimated - true) <= 2.0
 
-    def test_model_selection_picks_gradient_for_small_problems(self):
-        blackboard, scenario = make_pair()
+    @pytest.mark.parametrize(
+        "elements, angles, size",
+        [(8, THREE_USERS, "3x8"), (20, FOUR_USERS, "4x20")],
+    )
+    def test_model_selection_reports_the_problem_size_and_budget(
+        self, elements, angles, size
+    ):
+        blackboard, scenario = make_pair(ArrayConstraints(num_elements=elements), angles)
         blackboard.stage = AgentRole.DATA_COLLECTION
         agent_execute(AgentRole.DATA_COLLECTION, blackboard, scenario)
         blackboard.stage = AgentRole.MODEL_SELECTION
         report = agent_execute(AgentRole.MODEL_SELECTION, blackboard, scenario)
         assert report.ok
-        assert blackboard.selected_strategy is Strategy.GRADIENT  # 3 * 8 <= 64
+        assert size in report.message
+        assert "gradient search with 4 restarts" in report.message
 
-    def test_model_selection_picks_coordinate_for_large_problems(self):
-        constraints = ArrayConstraints(num_elements=20)
-        angles = DoASet((40.0, 70.0, 100.0, 130.0))
-        blackboard, scenario = make_pair(
-            constraints=constraints, true_angles=angles
+    def test_training_runs_the_one_search_on_a_wide_problem(self):
+        # 4 users on 20 elements: the problem size no longer picks the search
+        blackboard, scenario = make_pair(ArrayConstraints(num_elements=20), FOUR_USERS)
+        for role in (AgentRole.DATA_COLLECTION, AgentRole.MODEL_SELECTION, AgentRole.TRAINING):
+            blackboard.stage = role
+            assert agent_execute(role, blackboard, scenario).ok
+        angles = blackboard.latest_estimate.angles
+        seed = _derive_seed(scenario.seed, _STREAM_OPTIMIZER, 0, 0)
+        expected = optimize_movable(
+            angles, replace(scenario.optimizer, seed=seed), scenario.constraints
         )
-        blackboard.stage = AgentRole.DATA_COLLECTION
-        agent_execute(AgentRole.DATA_COLLECTION, blackboard, scenario)
-        blackboard.stage = AgentRole.MODEL_SELECTION
-        report = agent_execute(AgentRole.MODEL_SELECTION, blackboard, scenario)
-        assert report.ok
-        assert blackboard.selected_strategy is Strategy.COORDINATE  # 4 * 20 > 64
+        candidate = blackboard.candidate_solution
+        assert candidate.gain_history_db == expected.gain_history_db
+        assert candidate.geometry.positions == expected.geometry.positions
+        assert candidate.gain_db >= fixed_baseline(angles, scenario.constraints).gain_db - 1e-9
 
     def test_full_manual_cycle_deploys_a_dominating_solution(self):
         blackboard, scenario = make_pair()
@@ -206,7 +220,6 @@ class TestAgents:
             gain_db=gain.db,
             converged=True,
             iterations=1,
-            strategy_used=Strategy.GRADIENT,
         )
         blackboard.stage = AgentRole.EVALUATION
         report = agent_execute(AgentRole.EVALUATION, blackboard, scenario)
@@ -250,8 +263,6 @@ class TestAgents:
         assert report.reason == "deployed_solution missing"
 
     def test_monitoring_appends_a_record_when_healthy(self):
-        from evobeam.optimize import optimize_movable
-
         blackboard, scenario = make_pair()
         blackboard.deployed_solution = optimize_movable(
             THREE_USERS, scenario.optimizer, scenario.constraints
@@ -259,12 +270,22 @@ class TestAgents:
         blackboard.stage = AgentRole.MONITORING
         report = agent_execute(AgentRole.MONITORING, blackboard, scenario)
         assert report.ok
-        assert len(blackboard.metrics_history) == 1
-        record = blackboard.metrics_history[0]
-        assert not record.evolved
-        assert record.trigger_reason is None
-        assert blackboard.trigger_decision is not None
         assert not blackboard.trigger_decision.trigger
+        # the episode runner writes every step's record, the agent none
+        assert not blackboard.metrics_history
+
+        static = TrajectoryConfig(
+            initial_angles=THREE_USERS, num_steps=2, drift=RandomWalkDrift(0.0)
+        )
+        result = run_episode(replace(scenario, trajectory=static))
+        assert [e.trigger_step for e in result.event_log] == [0]
+        first, healthy = result.metrics_history
+        assert healthy.step == 1
+        assert not healthy.evolved
+        assert healthy.trigger_reason is None
+        assert len(healthy.estimated_angles) == 3
+        # the same deployment scored at the same static directions
+        assert healthy.movable_gain_db == first.movable_gain_db
 
 
 class TestSupervisorRouting:
@@ -387,6 +408,26 @@ class TestEpisodes:
         assert record.trigger_reason is TriggerReason.HARDWARE_CHANGE
         assert record.movable_gain_db >= record.fixed_gain_db - 1e-9
         assert_valid_sequence(event.agent_sequence)
+
+    def test_wide_static_world_deploys_above_the_baseline(self):
+        # the size of the episode_wide workload: 5 users on 16 elements
+        trajectory = TrajectoryConfig(
+            num_steps=2,
+            initial_angles=DoASet((30.0, 60.0, 90.0, 120.0, 150.0)),
+            drift=RandomWalkDrift(0.0),
+        )
+        scenario = ScenarioConfig(
+            trajectory=trajectory,
+            constraints=ArrayConstraints(num_elements=16),
+            optimizer=OptimizerConfig(restarts=2),
+            seed=7,
+        )
+        result = run_episode(scenario)
+        assert not result.abort_log
+        assert [e.trigger_step for e in result.event_log] == [0]
+        assert result.event_log[0].post_gain_db >= result.event_log[0].baseline_gain_db - 1e-9
+        for record in result.metrics_history:
+            assert record.movable_gain_db >= record.fixed_gain_db - 1e-9
 
     def test_scripted_swing_triggers_exactly_one_recovery(self):
         before, after = (60.0, 85.0, 110.0), (100.0, 125.0, 150.0)

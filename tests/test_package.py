@@ -24,6 +24,13 @@ def test_version_matches_pyproject():
     assert evobeam.__version__ == load_project()["version"]
 
 
+def test_exports_resolve_and_name_no_search_strategy():
+    # one position search, so there is no strategy type to export
+    assert all(hasattr(evobeam, name) for name in evobeam.__all__)
+    assert "Strategy" not in evobeam.__all__
+    assert not hasattr(evobeam, "Strategy")
+
+
 def test_runtime_dependencies_are_numpy_and_pyyaml():
     assert dependency_names(load_project()["dependencies"]) == {"numpy", "pyyaml"}
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evobeam.arrays import MAX_ELEMENTS
+from evobeam.channel import MAX_STEPS
 from evobeam.errors import ConfigurationError
 from evobeam.estimation import MIN_GRID_RESOLUTION_DEG
 from evobeam.optimize import MAX_RESTARTS
@@ -35,7 +36,7 @@ def test_whole_float_optimizer_count_is_accepted_as_int():
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
-@pytest.mark.parametrize("field", ["step_size", "grid_resolution", "gain_tolerance_db"])
+@pytest.mark.parametrize("field", ["step_size", "gain_tolerance_db"])
 def test_non_finite_optimizer_float_is_rejected_with_its_path(field, value):
     with pytest.raises(ConfigurationError, match=rf"optimizer\.{field}\b"):
         scenario_from_mapping(minimal_mapping(optimizer={field: value}))
@@ -95,6 +96,8 @@ def test_snapshot_count_at_the_cap_loads():
         ("csi.snr_db", -1e308),
         ("csi.snr_db", -3100.0),
         ("trajectory.num_steps", 0),
+        ("trajectory.num_steps", MAX_STEPS + 1),
+        ("trajectory.num_steps", 10**9),
     ],
 )
 def test_value_that_cannot_run_is_rejected_with_its_path(path, value):
@@ -108,6 +111,7 @@ def test_value_that_cannot_run_is_rejected_with_its_path(path, value):
 
 def test_values_at_the_caps_load():
     mapping = minimal_mapping(
+        trajectory={"num_steps": MAX_STEPS, "initial_angles": [60.0, 90.0, 120.0]},
         optimizer={"restarts": MAX_RESTARTS},
         constraints={"num_elements": MAX_ELEMENTS, "position_bound": 1e9},
         estimation={"grid_resolution_deg": MIN_GRID_RESOLUTION_DEG},
@@ -116,12 +120,15 @@ def test_values_at_the_caps_load():
     config = scenario_from_mapping(mapping)
     assert config.optimizer.restarts == MAX_RESTARTS
     assert config.constraints.num_elements == MAX_ELEMENTS
+    assert config.trajectory.num_steps == MAX_STEPS
 
 
-@pytest.mark.parametrize("field, value", [("strategy", "coordinate"), ("seed", 3)])
-def test_optimizer_fields_the_episode_sets_are_rejected_with_their_path(field, value):
-    # ModelSelection picks the search and Training derives its own seed,
-    # so a value here would be silently replaced
+@pytest.mark.parametrize(
+    "field, value", [("strategy", "coordinate"), ("seed", 3), ("grid_resolution", 0.01)]
+)
+def test_unknown_optimizer_field_is_rejected_with_its_path(field, value):
+    # there is one position search, and it has no grid; Training derives
+    # its own seed, so a seed here would be silently replaced
     with pytest.raises(ConfigurationError, match=rf"^optimizer\.{field}\b"):
         scenario_from_mapping(minimal_mapping(optimizer={field: value, "restarts": 2}))
 
@@ -202,7 +209,6 @@ SCHEMA = {
     "optimizer": {
         "restarts": 2,
         "step_size": 0.05,
-        "grid_resolution": 0.01,
         "max_outer_iterations": 5,
         "gain_tolerance_db": 1e-6,
         "max_step_halvings": 3,
