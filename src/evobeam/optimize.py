@@ -26,15 +26,23 @@ from .arrays import (
 )
 from .errors import ConfigurationError, ValidationError, check_count, check_positive_finite
 
-# The projection builds its N x N block-mean tables for at most this many
-# entries at a time (128 KiB of floats), so its memory does not grow with
-# the number of restarts.
+# Entries a batched update builds at a time (128 KiB of floats), so its
+# memory does not grow with the number of restarts: the projection builds
+# its N x N block-mean tables for at most this many entries at once, and
+# the halving ladder adds step levels to a batch only while its steering
+# matrices (levels x rows x N x K entries) stay within it. One level of
+# rows always goes in one batch.
 _BLOCK_ENTRIES = 1 << 14
 
 # every restart adds a row of positions and a K x N complex steering matrix
 # to each batched update (up to 0.25 MB at arrays.MAX_ELEMENTS); an
 # unbounded count would fail only inside the solve, with an allocation error
 MAX_RESTARTS = 1024
+
+# 2^-64 of any step moves no layout measurably, and a row that finds no
+# improving step runs every halving at one projection and one eigen-solve
+# each; the cap also bounds the step-size table of the halving ladder
+MAX_STEP_HALVINGS = 64
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,7 @@ class OptimizerConfig:
         for name, minimum, maximum in (
             ("restarts", 1, MAX_RESTARTS),
             ("max_outer_iterations", 1, None),
-            ("max_step_halvings", 0, None),
+            ("max_step_halvings", 0, MAX_STEP_HALVINGS),
         ):
             count = check_count(f"optimizer.{name}", getattr(self, name), minimum, maximum)
             object.__setattr__(self, name, count)
@@ -203,8 +211,11 @@ def optimize_movable(
     exact weight update with one projected gradient step on the positions
     and stops once the dB gain improves by less than gain_tolerance_db.
     The restarts advance in lockstep as one batch, and every update is
-    vectorized over the restarts still running, projection included. The
-    best restart wins; at equal gain the lowest restart index wins.
+    vectorized over the restarts still running, projection included. Each
+    iteration first scores, in one batch, as many step halvings as the
+    previous one needed (see _gradient_steps); this changes how steps are
+    batched, never which step is taken. The best restart wins; at equal
+    gain the lowest restart index wins.
 
     Returns:
         BeamformingSolution for the winning restart, with the recorded
@@ -224,9 +235,10 @@ def optimize_movable(
     iterations = np.zeros(config.restarts, dtype=int)
     converged = np.zeros(config.restarts, dtype=bool)
     active = np.arange(config.restarts)
+    depth = 0
     for iteration in range(1, config.max_outer_iterations + 1):
         x_active, obj_active = x[active], obj[active]
-        _gradient_steps(x_active, obj_active, alpha, config, constraints)
+        depth = _gradient_steps(x_active, obj_active, alpha, config, constraints, depth)
         x[active], obj[active] = x_active, obj_active
         iterations[active] = iteration
         for restart, value in zip(active, obj_active):
@@ -253,30 +265,49 @@ def optimize_movable(
     )
 
 
-def _gradient_steps(x, obj, alpha, config, constraints):
+def _gradient_steps(x, obj, alpha, config, constraints, depth):
     """One projected gradient ascent step with step halving, per row.
 
-    x (rows, N) and obj (rows,) are updated in place. Every row starts at
-    the same step; a row leaves the halving loop once its projected step
-    raises its objective, and keeps its position if no step does.
+    x (rows, N) and obj (rows,) are updated in place. Every row tries the
+    steps step_size * wavelength * 2^-j for j = 0..max_step_halvings in
+    turn and takes the first whose projection raises its objective, or
+    keeps its position if none does. The first batch scores levels
+    0..depth for every row through one projection and one eigen-solve
+    (fewer if that would exceed _BLOCK_ENTRIES); rows with no improving
+    level there go on one level per batch. Taking each row's first
+    improving level makes the result the same for any depth.
+
+    Returns the deepest level any row accepted, the depth hint for the
+    next call.
     """
     s = _steering(x, alpha)
     _, vecs = np.linalg.eigh(_gram(s))
     w = np.einsum("rnk,rk->rn", s, vecs[:, :, -1])
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     grad = _gradient(s, w, alpha)
-    step = config.step_size * constraints.wavelength
+    # halving is exact in binary floating point, so level j is bit for bit
+    # the step after j halvings
+    steps = config.step_size * constraints.wavelength * 0.5 ** np.arange(
+        config.max_step_halvings + 1
+    )
+    width = max(1, min(depth + 1, _BLOCK_ENTRIES // (x.size * alpha.size)))
     pending = np.arange(x.shape[0])
-    for _ in range(config.max_step_halvings + 1):
-        candidate = project_positions(x[pending] + step * grad[pending], constraints)
+    level = deepest = 0
+    while pending.size and level < steps.size:
+        ladder = steps[level : level + width, None, None]
+        candidate = project_positions(x[pending] + ladder * grad[pending], constraints)
         value = _lambda_max(_gram(_steering(candidate, alpha)))
         better = value > obj[pending]
-        x[pending[better]] = candidate[better]
-        obj[pending[better]] = value[better]
-        pending = pending[~better]
-        if pending.size == 0:
-            break
-        step /= 2
+        hit = better.any(axis=0)
+        first = better.argmax(axis=0)[hit]
+        x[pending[hit]] = candidate[first, hit]
+        obj[pending[hit]] = value[first, hit]
+        if first.size:
+            deepest = level + int(first.max())
+        pending = pending[~hit]
+        level += ladder.shape[0]
+        width = 1
+    return deepest
 
 
 def _steering(positions, alpha):

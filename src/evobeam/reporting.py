@@ -1,9 +1,10 @@
 """Metrics and event-log serialization: a CSV table and a JSON log.
 
-Gains are written with 6 decimal places; reading a file therefore returns
-gains rounded to that precision, and writing the result back produces the
-same bytes. Angles keep full float precision. A gain of -inf serializes as
-the literal string -inf in both formats.
+The metrics CSV writes gains with 6 decimal places; reading it therefore
+returns gains rounded to that precision, and writing the result back
+produces the same bytes. Angles, and the gains of the events JSON, keep
+full float precision. A gain of -inf serializes as the literal string -inf
+in both formats.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
       step_size: 0.05
       max_outer_iterations: 500
       gain_tolerance_db: 1.0e-6
-      max_step_halvings: 20
+      max_step_halvings: 20             # at most optimize.MAX_STEP_HALVINGS (64)
     monitoring:
       relative_drop_threshold_db: 3.0
     csi:

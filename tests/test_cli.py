@@ -170,6 +170,7 @@ class TestRun:
         "section, path",
         [
             ("optimizer:\n  restarts: 1000000000000000\n", "optimizer.restarts"),
+            ("optimizer:\n  max_step_halvings: 1000000000\n", "optimizer.max_step_halvings"),
             (
                 "constraints:\n  num_elements: 1000000000\n  position_bound: 1.0e+9\n",
                 "constraints.num_elements",
@@ -177,7 +178,7 @@ class TestRun:
             ("estimation:\n  grid_resolution_deg: 1.0e-12\n", "estimation.grid_resolution_deg"),
             ("csi:\n  snr_db: -1.0e+308\n", "csi.snr_db"),
         ],
-        ids=["restarts", "num_elements", "grid_resolution_deg", "snr_db"],
+        ids=["restarts", "max_step_halvings", "num_elements", "grid_resolution_deg", "snr_db"],
     )
     def test_value_that_cannot_run_exits_2_before_any_solve(
         self, tmp_path, capsys, monkeypatch, section, path

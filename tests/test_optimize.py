@@ -628,10 +628,22 @@ def test_small_block_cap_bounds_every_projection_batch_and_changes_nothing(
         isotonic_rows.append(y.shape[0])
         return isotonic(y)
 
+    # (entries of the batch, entries of one level of it): a steering batch
+    # of positions (levels, rows, N) holds levels x rows x N x K entries
+    batches = []
+    steering = optimize._steering
+
+    def counting_steering(positions, alpha):
+        s = steering(positions, alpha)
+        batches.append((s.size, positions.shape[-2] * s.shape[-2] * s.shape[-1]))
+        return s
+
     monkeypatch.setattr(optimize, "_isotonic_rows", counting_isotonic)
+    monkeypatch.setattr(optimize, "_steering", counting_steering)
     got = optimize_movable(doas, config, constraints)
 
     assert isotonic_rows and max(isotonic_rows) == rows
+    assert all(size <= max(cap, level) for size, level in batches), batches
     assert got.gain_history_db == expected.gain_history_db
     assert got.geometry.positions == expected.geometry.positions
     assert np.array_equal(got.weights, expected.weights)
@@ -640,3 +652,56 @@ def test_small_block_cap_bounds_every_projection_batch_and_changes_nothing(
         expected.iterations,
         expected.converged,
     )
+
+
+@pytest.mark.parametrize(
+    "doas, config, constraints",
+    [
+        (DoASet((35.0, 80.0, 125.0)), OptimizerConfig(restarts=8, seed=5), ArrayConstraints()),
+        (
+            DoASet((40.0, 65.0, 90.0, 115.0, 140.0)),
+            OptimizerConfig(restarts=6, seed=9),
+            ArrayConstraints(num_elements=16),
+        ),
+        # zero gradient: no level improves, so the ladder runs to its end
+        (DoASet((90.0,)), OptimizerConfig(restarts=1), ArrayConstraints()),
+    ],
+    ids=["n8_k3", "n16_k5", "zero_gradient"],
+)
+def test_batched_halving_ladder_matches_one_level_per_batch(
+    monkeypatch, doas, config, constraints
+):
+    batched = optimize_movable(doas, config, constraints)
+    # a one-entry cap leaves every batch a single level of the ladder
+    monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", 1)
+    one_level = optimize_movable(doas, config, constraints)
+
+    assert batched.gain_history_db == one_level.gain_history_db
+    assert batched.geometry.positions == one_level.geometry.positions
+    assert np.array_equal(batched.weights, one_level.weights)
+    assert (batched.restart_index, batched.iterations, batched.converged) == (
+        one_level.restart_index,
+        one_level.iterations,
+        one_level.converged,
+    )
+
+
+def test_halving_ladder_takes_few_projections_per_iteration(monkeypatch):
+    # the search repeats exactly, so these are counts, not timings
+    counts = {"project": 0, "iterations": 0}
+    project, steps = optimize.project_positions, optimize._gradient_steps
+
+    def counting_project(*args):
+        counts["project"] += 1
+        return project(*args)
+
+    def counting_steps(*args):
+        counts["iterations"] += 1
+        return steps(*args)
+
+    monkeypatch.setattr(optimize, "project_positions", counting_project)
+    monkeypatch.setattr(optimize, "_gradient_steps", counting_steps)
+    optimize_movable(DoASet((60.0, 90.0, 120.0)), OptimizerConfig(), ArrayConstraints())
+
+    assert counts["iterations"] > 10
+    assert counts["project"] <= 1.5 * counts["iterations"], counts

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evobeam.errors import ValidationError
 from evobeam.lifecycle import (
@@ -196,3 +198,87 @@ class TestEpisodeSerialization:
             assert read.agent_sequence == tuple(orig.agent_sequence)
             assert read.post_gain_db == orig.post_gain_db  # json floats are exact
         assert aborts == result.abort_log
+
+
+# ------------------------------------------------ round trips of generated records
+
+roles = st.sampled_from(AgentRole)
+reasons = st.sampled_from(TriggerReason)
+steps = st.integers(0, 10**6)
+gains = st.one_of(st.just(float("-inf")), st.floats(-400.0, 400.0))
+angle_lists = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5).map(tuple)
+sequences = st.lists(roles, max_size=8).map(tuple)
+
+metrics_records = st.builds(
+    MetricsRecord,
+    step=steps,
+    true_angles=angle_lists,
+    estimated_angles=angle_lists,
+    movable_gain_db=gains,
+    fixed_gain_db=gains,
+    evolved=st.booleans(),
+    trigger_reason=st.none() | reasons,
+)
+evolution_events = st.builds(
+    EvolutionEvent,
+    trigger_step=steps,
+    reason=reasons,
+    pre_gain_db=gains,
+    post_gain_db=gains,
+    baseline_gain_db=gains,
+    agent_sequence=sequences,
+    training_rounds=st.integers(0, 10),
+    degraded=st.booleans(),
+)
+abort_records = st.builds(
+    AbortRecord,
+    trigger_step=steps,
+    reason=st.none() | reasons,
+    failed_role=roles,
+    error=st.text(max_size=40),
+    agent_sequence=sequences,
+)
+
+
+@pytest.fixture(scope="module")
+def roundtrip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
+def _same_gain(read, written):
+    # the CSV keeps 6 decimals; parsing the decimal adds at most half an ulp
+    return read == written or abs(read - written) <= 5e-7 + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(metrics_records, max_size=6))
+def test_generated_metrics_round_trip(roundtrip_dir, records):
+    first, second = roundtrip_dir / "first.csv", roundtrip_dir / "second.csv"
+    write_metrics_csv(records, first)
+    parsed = read_metrics_csv(first)
+    write_metrics_csv(parsed, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert len(parsed) == len(records)
+    for read, orig in zip(parsed, records):
+        assert (read.step, read.evolved, read.trigger_reason) == (
+            orig.step,
+            orig.evolved,
+            orig.trigger_reason,
+        )
+        assert read.true_angles == orig.true_angles
+        assert read.estimated_angles == orig.estimated_angles
+        assert _same_gain(read.movable_gain_db, orig.movable_gain_db)
+        assert _same_gain(read.fixed_gain_db, orig.fixed_gain_db)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(evolution_events, max_size=4), st.lists(abort_records, max_size=4))
+def test_generated_events_round_trip(roundtrip_dir, events, aborts):
+    first, second = roundtrip_dir / "first.json", roundtrip_dir / "second.json"
+    write_events_json(events, first, aborts=aborts)
+    parsed_events, parsed_aborts = read_events_json(first)
+    write_events_json(parsed_events, second, aborts=parsed_aborts)
+    assert second.read_bytes() == first.read_bytes()
+    # json floats are exact, so the gains come back unrounded
+    assert list(parsed_events) == events
+    assert list(parsed_aborts) == aborts

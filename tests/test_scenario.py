@@ -11,7 +11,7 @@ from evobeam.arrays import MAX_ELEMENTS
 from evobeam.channel import MAX_STEPS
 from evobeam.errors import ConfigurationError
 from evobeam.estimation import MIN_GRID_RESOLUTION_DEG
-from evobeam.optimize import MAX_RESTARTS
+from evobeam.optimize import MAX_RESTARTS, MAX_STEP_HALVINGS
 from evobeam.scenario import MAX_SNAPSHOTS, ScenarioConfig, scenario_from_mapping
 
 
@@ -89,6 +89,8 @@ def test_snapshot_count_at_the_cap_loads():
     [
         ("optimizer.restarts", MAX_RESTARTS + 1),
         ("optimizer.restarts", 10**15),
+        ("optimizer.max_step_halvings", MAX_STEP_HALVINGS + 1),
+        ("optimizer.max_step_halvings", 10**9),
         ("constraints.num_elements", MAX_ELEMENTS + 1),
         ("constraints.num_elements", 10**9),
         ("estimation.grid_resolution_deg", MIN_GRID_RESOLUTION_DEG / 2),
@@ -112,13 +114,14 @@ def test_value_that_cannot_run_is_rejected_with_its_path(path, value):
 def test_values_at_the_caps_load():
     mapping = minimal_mapping(
         trajectory={"num_steps": MAX_STEPS, "initial_angles": [60.0, 90.0, 120.0]},
-        optimizer={"restarts": MAX_RESTARTS},
+        optimizer={"restarts": MAX_RESTARTS, "max_step_halvings": MAX_STEP_HALVINGS},
         constraints={"num_elements": MAX_ELEMENTS, "position_bound": 1e9},
         estimation={"grid_resolution_deg": MIN_GRID_RESOLUTION_DEG},
         csi={"snr_db": -3000.0},
     )
     config = scenario_from_mapping(mapping)
     assert config.optimizer.restarts == MAX_RESTARTS
+    assert config.optimizer.max_step_halvings == MAX_STEP_HALVINGS
     assert config.constraints.num_elements == MAX_ELEMENTS
     assert config.trajectory.num_steps == MAX_STEPS
 
