@@ -167,8 +167,12 @@ def steering_vector(geometry: ArrayGeometry, angle_deg: float) -> np.ndarray:
 def steering_matrix(geometry: ArrayGeometry, angles_deg) -> np.ndarray:
     """Stacked steering vectors, one column per direction (N x K)."""
     alpha = spatial_frequencies(geometry.wavelength, angles_deg)
-    pos = np.asarray(geometry.positions, dtype=float)
-    return np.exp(1j * np.outer(pos, alpha))
+    return stacked_steering(np.asarray(geometry.positions, dtype=float), alpha)
+
+
+def stacked_steering(positions: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Steering matrices exp(j x_n alpha_k) of layouts (..., N), shape (..., N, K)."""
+    return np.exp(1j * positions[..., None] * alpha)
 
 
 def gain_matrix(geometry: ArrayGeometry, doas: DoASet) -> np.ndarray:

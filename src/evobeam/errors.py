@@ -37,14 +37,15 @@ def check_count(name, value, minimum, maximum=None) -> int:
     return int(value)
 
 
-def check_positive_finite(name, value):
-    """Raise ValidationError naming the field unless value is a real in (0, inf)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not 0 < value <= sys.float_info.max
-    ):
-        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
+def check_positive_finite(name, value, maximum=None):
+    """Raise ValidationError naming the field unless value is a real in (0, maximum].
+
+    maximum defaults to the largest float.
+    """
+    top = sys.float_info.max if maximum is None else maximum
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value <= top:
+        allowed = "" if maximum is None else f" <= {maximum}"
+        raise ValidationError(f"{name} must be a positive finite number{allowed}, got {value!r}")
 
 
 def check_finite(name, value, minimum=None) -> float:

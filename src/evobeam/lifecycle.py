@@ -21,7 +21,7 @@ from .arrays import DoASet, sum_beam_gain
 from .channel import generate_trajectory, synthesize_csi
 from .errors import EvobeamError, ProtocolError, ValidationError
 from .estimation import DoaEstimate, estimate_doas, sample_covariance
-from .optimize import BeamformingSolution, fixed_baseline, optimize_movable
+from .optimize import MAX_OUTER_ITERATIONS, BeamformingSolution, fixed_baseline, optimize_movable
 from .scenario import DEFAULT_RELATIVE_DROP_DB, ScenarioConfig
 
 MAX_TRAINING_ROUNDS = 5
@@ -404,13 +404,12 @@ def _run_model_selection(blackboard, scenario):
         return _missing(AgentRole.MODEL_SELECTION, "latest_estimate")
     k = len(blackboard.latest_estimate.angles)
     n = scenario.constraints.num_elements
-    budget = scenario.optimizer
     return AgentReport(
         role=AgentRole.MODEL_SELECTION,
         ok=True,
         message=(
-            f"problem size {k}x{n}, gradient search with {budget.restarts} restarts "
-            f"of up to {budget.max_outer_iterations} iterations"
+            f"problem size {k}x{n}, gradient search with {scenario.optimizer.restarts} restarts "
+            f"of up to {MAX_OUTER_ITERATIONS} iterations"
         ),
     )
 

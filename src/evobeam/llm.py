@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigurationError, ValidationError, check_count, check_positive_finite
 from .lifecycle import IDLE, ROLE_NAMES, AgentRole
-from .scenario import LlmSettings
+from .scenario import MAX_RETRIES, MAX_TIMEOUT_S, LlmSettings
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +66,9 @@ class EndpointConfig:
             value = getattr(self, name)
             if not (isinstance(value, str) and value):
                 raise ConfigurationError(f"{name} must be a nonempty string, got {value!r}")
-        check_positive_finite("timeout_s", self.timeout_s)
-        object.__setattr__(self, "max_retries", check_count("max_retries", self.max_retries, 0))
+        check_positive_finite("timeout_s", self.timeout_s, MAX_TIMEOUT_S)
+        retries = check_count("max_retries", self.max_retries, 0, MAX_RETRIES)
+        object.__setattr__(self, "max_retries", retries)
 
     @classmethod
     def from_settings(cls, settings: LlmSettings) -> "EndpointConfig":

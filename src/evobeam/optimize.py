@@ -21,10 +21,11 @@ from .arrays import (
     gain_matrix,
     principal_eigenpair,
     spatial_frequencies,
+    stacked_steering,
     steering_matrix,
     sum_beam_gain,
 )
-from .errors import ConfigurationError, ValidationError, check_count, check_positive_finite
+from .errors import ConfigurationError, ValidationError, check_count
 
 # Entries a batched update builds at a time (128 KiB of floats), so its
 # memory does not grow with the number of restarts: the projection builds
@@ -39,37 +40,30 @@ _BLOCK_ENTRIES = 1 << 14
 # unbounded count would fail only inside the solve, with an allocation error
 MAX_RESTARTS = 1024
 
-# 2^-64 of any step moves no layout measurably, and a row that finds no
-# improving step runs every halving at one projection and one eigen-solve
-# each; the cap also bounds the step-size table of the halving ladder
-MAX_STEP_HALVINGS = 64
+# The search schedule: each gradient step first tries STEP_SIZE wavelengths
+# and halves it up to MAX_STEP_HALVINGS times until the gain rises; a
+# restart stops once an iteration adds less than GAIN_TOLERANCE_DB, or
+# after MAX_OUTER_ITERATIONS iterations.
+STEP_SIZE = 0.05
+MAX_STEP_HALVINGS = 20
+GAIN_TOLERANCE_DB = 1e-6
+MAX_OUTER_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for optimize_movable.
+    """The budget of optimize_movable: how many restarts, seeded how.
 
-    step_size is expressed in wavelengths. gain_tolerance_db is the
-    stopping threshold on per-iteration dB improvement.
+    Restart r > 0 starts at a random layout drawn from seed + r.
     """
 
     restarts: int = 16
-    step_size: float = 0.05
-    max_outer_iterations: int = 500
-    gain_tolerance_db: float = 1e-6
-    max_step_halvings: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum, maximum in (
-            ("restarts", 1, MAX_RESTARTS),
-            ("max_outer_iterations", 1, None),
-            ("max_step_halvings", 0, MAX_STEP_HALVINGS),
-        ):
-            count = check_count(f"optimizer.{name}", getattr(self, name), minimum, maximum)
-            object.__setattr__(self, name, count)
-        for name in ("step_size", "gain_tolerance_db"):
-            check_positive_finite(f"optimizer.{name}", getattr(self, name))
+        restarts = check_count("optimizer.restarts", self.restarts, 1, MAX_RESTARTS)
+        object.__setattr__(self, "restarts", restarts)
+        object.__setattr__(self, "seed", check_count("optimizer.seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -209,7 +203,7 @@ def optimize_movable(
     result can never fall below the fixed baseline; the remaining restarts
     begin at seeded random feasible layouts. Each restart alternates an
     exact weight update with one projected gradient step on the positions
-    and stops once the dB gain improves by less than gain_tolerance_db.
+    and stops once the dB gain improves by less than GAIN_TOLERANCE_DB.
     The restarts advance in lockstep as one batch, and every update is
     vectorized over the restarts still running, projection included. Each
     iteration first scores, in one batch, as many step halvings as the
@@ -230,21 +224,21 @@ def optimize_movable(
         x[restart] = np.sort(np.random.default_rng(config.seed + restart).uniform(-b, b, n))
     x[1:] = project_positions(x[1:], constraints)
 
-    obj = _lambda_max(_gram(_steering(x, alpha)))
+    obj = _lambda_max(_gram(stacked_steering(x, alpha)))
     histories = [[_to_db(v)] for v in obj]
     iterations = np.zeros(config.restarts, dtype=int)
     converged = np.zeros(config.restarts, dtype=bool)
     active = np.arange(config.restarts)
     depth = 0
-    for iteration in range(1, config.max_outer_iterations + 1):
+    for iteration in range(1, MAX_OUTER_ITERATIONS + 1):
         x_active, obj_active = x[active], obj[active]
-        depth = _gradient_steps(x_active, obj_active, alpha, config, constraints, depth)
+        depth = _gradient_steps(x_active, obj_active, alpha, constraints, depth)
         x[active], obj[active] = x_active, obj_active
         iterations[active] = iteration
         for restart, value in zip(active, obj_active):
             history = histories[restart]
             history.append(_to_db(value))
-            converged[restart] = history[-1] - history[-2] < config.gain_tolerance_db
+            converged[restart] = history[-1] - history[-2] < GAIN_TOLERANCE_DB
         active = active[~converged[active]]
         if active.size == 0:
             break
@@ -265,11 +259,11 @@ def optimize_movable(
     )
 
 
-def _gradient_steps(x, obj, alpha, config, constraints, depth):
+def _gradient_steps(x, obj, alpha, constraints, depth):
     """One projected gradient ascent step with step halving, per row.
 
     x (rows, N) and obj (rows,) are updated in place. Every row tries the
-    steps step_size * wavelength * 2^-j for j = 0..max_step_halvings in
+    steps STEP_SIZE * wavelength * 2^-j for j = 0..MAX_STEP_HALVINGS in
     turn and takes the first whose projection raises its objective, or
     keeps its position if none does. The first batch scores levels
     0..depth for every row through one projection and one eigen-solve
@@ -280,23 +274,21 @@ def _gradient_steps(x, obj, alpha, config, constraints, depth):
     Returns the deepest level any row accepted, the depth hint for the
     next call.
     """
-    s = _steering(x, alpha)
+    s = stacked_steering(x, alpha)
     _, vecs = np.linalg.eigh(_gram(s))
     w = np.einsum("rnk,rk->rn", s, vecs[:, :, -1])
     w /= np.linalg.norm(w, axis=1, keepdims=True)
     grad = _gradient(s, w, alpha)
     # halving is exact in binary floating point, so level j is bit for bit
     # the step after j halvings
-    steps = config.step_size * constraints.wavelength * 0.5 ** np.arange(
-        config.max_step_halvings + 1
-    )
+    steps = STEP_SIZE * constraints.wavelength * 0.5 ** np.arange(MAX_STEP_HALVINGS + 1)
     width = max(1, min(depth + 1, _BLOCK_ENTRIES // (x.size * alpha.size)))
     pending = np.arange(x.shape[0])
     level = deepest = 0
     while pending.size and level < steps.size:
         ladder = steps[level : level + width, None, None]
         candidate = project_positions(x[pending] + ladder * grad[pending], constraints)
-        value = _lambda_max(_gram(_steering(candidate, alpha)))
+        value = _lambda_max(_gram(stacked_steering(candidate, alpha)))
         better = value > obj[pending]
         hit = better.any(axis=0)
         first = better.argmax(axis=0)[hit]
@@ -308,11 +300,6 @@ def _gradient_steps(x, obj, alpha, config, constraints, depth):
         level += ladder.shape[0]
         width = 1
     return deepest
-
-
-def _steering(positions, alpha):
-    """Steering matrices exp(j x_n alpha_k), shape (..., N, K)."""
-    return np.exp(1j * positions[..., None] * alpha)
 
 
 def _gram(s):

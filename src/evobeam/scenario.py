@@ -19,12 +19,8 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
       num_elements: 8
       min_spacing: 0.0625
       position_bound: 0.625
-    optimizer:                          # optional search budget, defaults shown
-      restarts: 16
-      step_size: 0.05
-      max_outer_iterations: 500
-      gain_tolerance_db: 1.0e-6
-      max_step_halvings: 20             # at most optimize.MAX_STEP_HALVINGS (64)
+    optimizer:                          # optional search budget, default shown
+      restarts: 16                      # at most optimize.MAX_RESTARTS (1024)
     monitoring:
       relative_drop_threshold_db: 3.0
     csi:
@@ -36,11 +32,14 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
       base_url: "http://127.0.0.1:8080"
       model_name: "gpt-4o"
       api_key_env: EVOBEAM_API_KEY
+      timeout_s: 30.0                   # optional, at most MAX_TIMEOUT_S (3600)
+      max_retries: 2                    # optional, at most MAX_RETRIES (10)
 
 The optimizer section sets the budget of the one position search, projected
-gradient ascent. It takes no seed: every Training run draws its seed from
-the scenario seed. Loader errors carry the dotted path of the offending
-field.
+gradient ascent: its number of restarts. The step schedule is fixed (see
+the constants in evobeam.optimize). It takes no seed: every Training run
+draws its seed from the scenario seed. Loader errors carry the dotted path
+of the offending field.
 """
 
 from __future__ import annotations
@@ -78,6 +77,12 @@ DEFAULT_API_KEY_ENV = "EVOBEAM_API_KEY"
 # at this cap; an unbounded count would fail only inside the run, with an
 # allocation error
 MAX_SNAPSHOTS = 100_000
+# socket.settimeout raises OverflowError from about 9.2e9 s, which would
+# fail only inside the run; no routing answer is worth an hour's wait
+MAX_TIMEOUT_S = 3600.0
+# every attempt may wait timeout_s, so an unbounded count could hold one
+# transition for days; at both caps it waits at most eleven hours
+MAX_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,9 @@ class LlmSettings:
             value = getattr(self, name)
             if not (isinstance(value, str) and value):
                 raise ConfigurationError(f"llm.{name} must be a nonempty string, got {value!r}")
-        check_positive_finite("llm.timeout_s", self.timeout_s)
-        object.__setattr__(self, "max_retries", check_count("llm.max_retries", self.max_retries, 0))
+        check_positive_finite("llm.timeout_s", self.timeout_s, MAX_TIMEOUT_S)
+        retries = check_count("llm.max_retries", self.max_retries, 0, MAX_RETRIES)
+        object.__setattr__(self, "max_retries", retries)
 
 
 @dataclass(frozen=True)
@@ -175,16 +181,7 @@ _SECTIONS = {
         ArrayConstraints,
         ("wavelength", "num_elements", "min_spacing", "position_bound"),
     ),
-    "optimizer": (
-        OptimizerConfig,
-        (
-            "restarts",
-            "step_size",
-            "max_outer_iterations",
-            "gain_tolerance_db",
-            "max_step_halvings",
-        ),
-    ),
+    "optimizer": (OptimizerConfig, ("restarts",)),
     "monitoring": (ScenarioConfig, ("relative_drop_threshold_db",)),
     "csi": (ScenarioConfig, ("snr_db", "num_snapshots")),
     "estimation": (ScenarioConfig, ("grid_resolution_deg",)),

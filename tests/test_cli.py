@@ -1,17 +1,22 @@
 """Command-line contract: exit codes, output files, determinism, key hygiene."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evobeam import cli, lifecycle
 from evobeam.arrays import ArrayConstraints, DoASet
 from evobeam.cli import main
 from evobeam.channel import MAX_STEPS
-from evobeam.optimize import OptimizerConfig, fixed_baseline, optimize_movable
+from evobeam.optimize import MAX_RESTARTS, OptimizerConfig, fixed_baseline, optimize_movable
 from evobeam.reporting import read_events_json, read_metrics_csv
+from evobeam.scenario import MAX_RETRIES, MAX_TIMEOUT_S
 
 from conftest import SENTINEL_KEY
 
@@ -104,26 +109,6 @@ class TestRun:
         assert "constraints" in err and "min_spacing" in err
 
     @pytest.mark.parametrize(
-        "field", ["restarts", "max_outer_iterations", "max_step_halvings"]
-    )
-    def test_non_integer_optimizer_count_exits_2_naming_the_field(
-        self, tmp_path, capsys, field
-    ):
-        bad = GOOD_CONFIG.replace("restarts: 4", f"{field}: 1.5")
-        config = write_config(tmp_path, bad)
-        assert main(run_args(config, tmp_path)) == 2
-        assert f"optimizer.{field}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("field", ["step_size", "gain_tolerance_db"])
-    def test_non_finite_optimizer_float_exits_2_naming_the_field(
-        self, tmp_path, capsys, field
-    ):
-        bad = GOOD_CONFIG.replace("restarts: 4", f"{field}: .inf")
-        config = write_config(tmp_path, bad)
-        assert main(run_args(config, tmp_path)) == 2
-        assert f"optimizer.{field}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
         "path, value",
         [
             ("seed", math.inf),
@@ -134,9 +119,14 @@ class TestRun:
             ("estimation.grid_resolution_deg", math.inf),
             ("constraints.num_elements", math.inf),
             ("constraints.num_elements", math.nan),
+            ("optimizer.restarts", 1.5),
+            ("optimizer.restarts", math.inf),
             ("llm.max_retries", 1.5),
             ("llm.max_retries", True),
+            ("llm.max_retries", MAX_RETRIES + 1),
             ("llm.timeout_s", math.inf),
+            ("llm.timeout_s", MAX_TIMEOUT_S * 2),
+            ("llm.timeout_s", 1.0e300),
         ],
         ids=str,
     )
@@ -170,7 +160,6 @@ class TestRun:
         "section, path",
         [
             ("optimizer:\n  restarts: 1000000000000000\n", "optimizer.restarts"),
-            ("optimizer:\n  max_step_halvings: 1000000000\n", "optimizer.max_step_halvings"),
             (
                 "constraints:\n  num_elements: 1000000000\n  position_bound: 1.0e+9\n",
                 "constraints.num_elements",
@@ -178,7 +167,7 @@ class TestRun:
             ("estimation:\n  grid_resolution_deg: 1.0e-12\n", "estimation.grid_resolution_deg"),
             ("csi:\n  snr_db: -1.0e+308\n", "csi.snr_db"),
         ],
-        ids=["restarts", "max_step_halvings", "num_elements", "grid_resolution_deg", "snr_db"],
+        ids=["restarts", "num_elements", "grid_resolution_deg", "snr_db"],
     )
     def test_value_that_cannot_run_exits_2_before_any_solve(
         self, tmp_path, capsys, monkeypatch, section, path
@@ -193,7 +182,16 @@ class TestRun:
         assert f"configuration error: {path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "field, value", [("strategy", "coordinate"), ("seed", 3), ("grid_resolution", 0.01)]
+        "field, value",
+        [
+            ("strategy", "coordinate"),
+            ("seed", 3),
+            ("grid_resolution", 0.01),
+            ("step_size", 0.05),
+            ("max_outer_iterations", 500),
+            ("gain_tolerance_db", 1.0e-6),
+            ("max_step_halvings", 20),
+        ],
     )
     def test_unknown_optimizer_field_exits_2(self, tmp_path, capsys, field, value):
         config = write_config(tmp_path, GOOD_CONFIG + f"  {field}: {value}\n")
@@ -348,9 +346,10 @@ class TestOptimizeAndBaseline:
         [
             (["--restarts", "1000000000000000"], "optimizer.restarts"),
             (["--num-elements", "1000000000", "--position-bound", "1e9"], "num_elements"),
+            (["--seed=-5"], "optimizer.seed"),
         ],
     )
-    def test_count_above_its_cap_exits_2_before_the_solve(
+    def test_count_out_of_range_exits_2_before_the_solve(
         self, capsys, monkeypatch, flags, name
     ):
         def no_solve(*args, **kwargs):
@@ -359,6 +358,24 @@ class TestOptimizeAndBaseline:
         monkeypatch.setattr(cli, "optimize_movable", no_solve)
         assert main(["optimize", "60", "90", *flags]) == 2
         assert f"configuration error: {name}" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        angle=st.floats(1.0, 179.0),
+        seed=st.one_of(st.integers(max_value=-1), st.just(0), st.integers(2**64, 2**200)),
+        restarts=st.sampled_from([-1, 0, 1, 2, MAX_RESTARTS + 1]),
+    )
+    def test_optimize_runs_or_exits_2(self, angle, seed, restarts):
+        """Every seed and restart count evobeam optimize parses runs or exits 2."""
+        args = [
+            "optimize", repr(angle), "--num-elements=3",
+            f"--seed={seed}", f"--restarts={restarts}",
+        ]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(args)
+        runs = seed >= 0 and 1 <= restarts <= MAX_RESTARTS
+        assert code == (0 if runs else 2), err.getvalue()
 
     def test_out_of_range_angle_exits_2(self, capsys):
         assert main(["optimize", "190"]) == 2

@@ -26,7 +26,7 @@ from evobeam.llm import (
     make_router,
     parse_role_name,
 )
-from evobeam.scenario import LlmSettings, default_scenario
+from evobeam.scenario import MAX_RETRIES, MAX_TIMEOUT_S, LlmSettings, default_scenario
 
 
 def make_config(url, timeout_s=5.0, max_retries=0):
@@ -85,9 +85,12 @@ class TestParsing:
         ("max_retries", 1.5),
         ("max_retries", True),
         ("max_retries", -1),
+        ("max_retries", MAX_RETRIES + 1),
         ("timeout_s", math.inf),
         ("timeout_s", math.nan),
         ("timeout_s", 0),
+        ("timeout_s", MAX_TIMEOUT_S * 2),
+        ("timeout_s", 1.0e300),
     ],
     ids=str,
 )

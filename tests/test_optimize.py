@@ -1,5 +1,6 @@
 """Weight optimization, position projection, gradients, and the joint search."""
 
+import dataclasses
 import itertools
 import math
 
@@ -120,7 +121,7 @@ def _reference_objective(positions, alpha):
     return float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
 
 
-def _reference_gradient_step(x, obj, alpha, config, constraints):
+def _reference_gradient_step(x, obj, alpha, constraints):
     s = np.exp(1j * np.outer(x, alpha))
     gram = s.conj().T @ s
     u = np.linalg.eigh((gram + gram.conj().T) / 2)[1][:, -1]
@@ -128,8 +129,8 @@ def _reference_gradient_step(x, obj, alpha, config, constraints):
     w = w / np.linalg.norm(w)
     terms = (1j * alpha * (w.conj() @ s).conj())[None, :] * s * w.conj()[:, None]
     grad = 2.0 * np.sum(terms.real, axis=1)
-    step = config.step_size * constraints.wavelength
-    for _ in range(config.max_step_halvings + 1):
+    step = optimize.STEP_SIZE * constraints.wavelength
+    for _ in range(optimize.MAX_STEP_HALVINGS + 1):
         candidate = pava_projection(x + step * grad, constraints)
         value = _reference_objective(candidate, alpha)
         if value > obj:
@@ -158,10 +159,10 @@ def sequential_search(doas, config, constraints, shift=0.0):
         obj = _reference_objective(x, alpha)
         history = [10 * math.log10(obj)]
         iterations, converged = 0, False
-        for iterations in range(1, config.max_outer_iterations + 1):
-            x, obj = _reference_gradient_step(x, obj, alpha, config, constraints)
+        for iterations in range(1, optimize.MAX_OUTER_ITERATIONS + 1):
+            x, obj = _reference_gradient_step(x, obj, alpha, constraints)
             history.append(10 * math.log10(obj))
-            if history[-1] - history[-2] < config.gain_tolerance_db:
+            if history[-1] - history[-2] < optimize.GAIN_TOLERANCE_DB:
                 converged = True
                 break
         results.append((obj, x, history, iterations, converged))
@@ -476,10 +477,17 @@ def test_solution_gain_fields_are_consistent():
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^optimizer\.restarts\b"):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValidationError):
-        OptimizerConfig(step_size=0.0)
+    for seed in (-5, 1.5, True):
+        with pytest.raises(ValidationError, match=r"^optimizer\.seed\b"):
+            OptimizerConfig(seed=seed)
+    assert OptimizerConfig(seed=2.0).seed == 2
+
+
+def test_optimizer_config_holds_only_the_budget():
+    # the step schedule is fixed in module constants
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "seed"]
 
 
 @st.composite
@@ -631,7 +639,7 @@ def test_small_block_cap_bounds_every_projection_batch_and_changes_nothing(
     # (entries of the batch, entries of one level of it): a steering batch
     # of positions (levels, rows, N) holds levels x rows x N x K entries
     batches = []
-    steering = optimize._steering
+    steering = optimize.stacked_steering
 
     def counting_steering(positions, alpha):
         s = steering(positions, alpha)
@@ -639,7 +647,7 @@ def test_small_block_cap_bounds_every_projection_batch_and_changes_nothing(
         return s
 
     monkeypatch.setattr(optimize, "_isotonic_rows", counting_isotonic)
-    monkeypatch.setattr(optimize, "_steering", counting_steering)
+    monkeypatch.setattr(optimize, "stacked_steering", counting_steering)
     got = optimize_movable(doas, config, constraints)
 
     assert isotonic_rows and max(isotonic_rows) == rows
