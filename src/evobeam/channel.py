@@ -77,21 +77,29 @@ class TrajectoryConfig:
         lo, hi = bounds
         for a in self.initial_angles.angles_deg:
             if not (lo <= a <= hi):
-                raise ValidationError(f"initial angle {a} outside bounds {self.angle_bounds}")
+                raise ValidationError(
+                    f"trajectory.initial_angles: {a} outside bounds {self.angle_bounds}"
+                )
         if isinstance(self.drift, ScriptedDrift):
+            path = "trajectory.drift.waypoints"
             if len(self.drift.waypoints) != self.num_steps:
                 raise ValidationError(
-                    f"scripted drift has {len(self.drift.waypoints)} waypoints "
+                    f"{path}: {len(self.drift.waypoints)} waypoints "
                     f"for {self.num_steps} steps"
                 )
-            for w in self.drift.waypoints:
-                DoASet(w)  # each step must be a valid direction set
+            for i, w in enumerate(self.drift.waypoints):
+                try:
+                    DoASet(w)  # each step must be a valid direction set
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}[{i}]: {exc}") from exc
                 if len(w) != len(self.initial_angles):
-                    raise ValidationError("waypoint source count differs from initial_angles")
+                    raise ValidationError(
+                        f"{path}[{i}]: source count differs from initial_angles"
+                    )
             if self.drift.waypoints[0] != self.initial_angles.angles_deg:
-                raise ValidationError("first waypoint must equal initial_angles")
+                raise ValidationError(f"{path}[0]: first waypoint must equal initial_angles")
         elif not isinstance(self.drift, RandomWalkDrift):
-            raise ValidationError(f"unknown drift model {self.drift!r}")
+            raise ValidationError(f"trajectory.drift: unknown drift model {self.drift!r}")
 
 
 @dataclass(frozen=True)

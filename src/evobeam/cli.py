@@ -60,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument("angles", nargs="+", type=float, help="directions in degrees")
     _constraint_flags(optimize)
-    optimize.add_argument("--restarts", type=int, default=16)
-    optimize.add_argument("--seed", type=int, default=0)
+    optimize.add_argument("--restarts", type=int, default=OptimizerConfig.restarts)
+    optimize.add_argument("--seed", type=int, default=OptimizerConfig.seed)
     optimize.set_defaults(func=cmd_optimize)
 
     baseline = sub.add_parser(
@@ -74,8 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _constraint_flags(parser):
-    parser.add_argument("--wavelength", type=float, default=0.125, help="carrier wavelength in meters")
-    parser.add_argument("--num-elements", type=int, default=8)
+    parser.add_argument(
+        "--wavelength", type=float, default=ArrayConstraints.wavelength, help="carrier wavelength in meters"
+    )
+    parser.add_argument("--num-elements", type=int, default=ArrayConstraints.num_elements)
     parser.add_argument("--min-spacing", type=float, default=None, help="default: half wavelength")
     parser.add_argument("--position-bound", type=float, default=None, help="default: 5 wavelengths")
 

@@ -7,6 +7,10 @@ transport error, timeout, redirect, disagreement) falls back to the
 deterministic supervisor. The router only observes: the episode always
 follows the deterministic route, so it never depends on the network, and
 the decisions record how often the endpoint agreed.
+
+The endpoint is described by scenario.EndpointConfig, the class the
+scenario's llm section builds; EndpointConfig.from_settings fills in the
+API key from the environment.
 """
 
 from __future__ import annotations
@@ -15,14 +19,13 @@ import functools
 import http.client
 import json
 import logging
-import os
 import re
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ConfigurationError, ValidationError, check_count, check_positive_finite
+from .errors import ValidationError
 from .lifecycle import IDLE, ROLE_NAMES, AgentRole
-from .scenario import MAX_RETRIES, MAX_TIMEOUT_S, LlmSettings
+from .scenario import EndpointConfig
 
 log = logging.getLogger(__name__)
 
@@ -45,47 +48,6 @@ class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
 def _opener():
     """One shared opener, built on first use (from Python 3.12 that loads the CA bundle)."""
     return urllib.request.build_opener(_RefuseRedirects)
-
-
-@dataclass(frozen=True)
-class EndpointConfig:
-    """How to reach the routing endpoint.
-
-    api_key is kept out of repr and must never appear in logs or
-    serialized output; load it from the environment via from_settings.
-    """
-
-    base_url: str
-    model_name: str
-    api_key: str = field(repr=False, default="")
-    timeout_s: float = 30.0
-    max_retries: int = 2
-
-    def __post_init__(self):
-        for name in ("base_url", "model_name"):
-            value = getattr(self, name)
-            if not (isinstance(value, str) and value):
-                raise ConfigurationError(f"{name} must be a nonempty string, got {value!r}")
-        check_positive_finite("timeout_s", self.timeout_s, MAX_TIMEOUT_S)
-        retries = check_count("max_retries", self.max_retries, 0, MAX_RETRIES)
-        object.__setattr__(self, "max_retries", retries)
-
-    @classmethod
-    def from_settings(cls, settings: LlmSettings) -> "EndpointConfig":
-        """Resolve the API key from the configured environment variable."""
-        key = os.environ.get(settings.api_key_env, "")
-        if not key:
-            raise ConfigurationError(
-                f"environment variable {settings.api_key_env} is not set; "
-                "it must hold the endpoint API key"
-            )
-        return cls(
-            base_url=settings.base_url,
-            model_name=settings.model_name,
-            api_key=key,
-            timeout_s=settings.timeout_s,
-            max_retries=settings.max_retries,
-        )
 
 
 @dataclass(frozen=True)
@@ -114,7 +76,7 @@ class RoutingDecision:
 
 def build_routing_prompt(blackboard, report, fallback_role) -> RoutingPrompt:
     """Summarize the blackboard into a single routing question."""
-    status = "ok" if report.ok else f"fail ({report.reason})"
+    status = "ok" if report.ok else f"fail ({report.reason[:_MESSAGE_CLIP]})"
     decision = blackboard.trigger_decision
     if decision is None:
         trigger_line = "Trigger state: none."

@@ -25,7 +25,7 @@ from .arrays import (
     steering_matrix,
     sum_beam_gain,
 )
-from .errors import ConfigurationError, ValidationError, check_count
+from .errors import ValidationError, check_count
 
 # Entries a batched update builds at a time (128 KiB of floats), so its
 # memory does not grow with the number of restarts: the projection builds
@@ -115,10 +115,6 @@ def project_positions(positions, constraints: ArrayConstraints) -> np.ndarray:
         raise ValidationError("positions must be finite")
     d = constraints.min_spacing
     b = constraints.position_bound
-    if n * d > 2 * b + d:
-        raise ConfigurationError(
-            f"{n} elements with min spacing {d} cannot fit in [-{b}, {b}]"
-        )
     rows = x.reshape(-1, n).copy()
     infeasible = np.flatnonzero(
         np.any(np.diff(rows, axis=1) < d, axis=1) | np.any(np.abs(rows) > b, axis=1)

@@ -31,20 +31,23 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
     llm:                                # optional routing endpoint
       base_url: "http://127.0.0.1:8080"
       model_name: "gpt-4o"
-      api_key_env: EVOBEAM_API_KEY
+      api_key_env: EVOBEAM_API_KEY      # optional, default shown
       timeout_s: 30.0                   # optional, at most MAX_TIMEOUT_S (3600)
       max_retries: 2                    # optional, at most MAX_RETRIES (10)
 
 The optimizer section sets the budget of the one position search, projected
 gradient ascent: its number of restarts. The step schedule is fixed (see
 the constants in evobeam.optimize). It takes no seed: every Training run
-draws its seed from the scenario seed. Loader errors carry the dotted path
-of the offending field.
+draws its seed from the scenario seed. The llm section builds an
+EndpointConfig; it names the environment variable that holds the API key,
+never the key, which EndpointConfig.from_settings reads at run time.
+Loader errors carry the dotted path of the offending field.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+import os
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import yaml
 
@@ -86,15 +89,18 @@ MAX_RETRIES = 10
 
 
 @dataclass(frozen=True)
-class LlmSettings:
+class EndpointConfig:
     """Where the optional routing endpoint lives and how to reach it.
 
-    The key itself is never stored here, only the name of the environment
-    variable that holds it.
+    The llm section fills every field but api_key, so a config file names
+    only the environment variable that holds the key; from_settings reads
+    it. api_key is kept out of repr and must never appear in logs or
+    serialized output.
     """
 
     base_url: str
     model_name: str
+    api_key: str = field(repr=False, default="")
     api_key_env: str = DEFAULT_API_KEY_ENV
     timeout_s: float = 30.0
     max_retries: int = 2
@@ -107,6 +113,17 @@ class LlmSettings:
         check_positive_finite("llm.timeout_s", self.timeout_s, MAX_TIMEOUT_S)
         retries = check_count("llm.max_retries", self.max_retries, 0, MAX_RETRIES)
         object.__setattr__(self, "max_retries", retries)
+
+    @classmethod
+    def from_settings(cls, config: EndpointConfig) -> EndpointConfig:
+        """config with api_key read from the variable named by api_key_env."""
+        key = os.environ.get(config.api_key_env, "")
+        if not key:
+            raise ConfigurationError(
+                f"environment variable {config.api_key_env} is not set; "
+                "it must hold the endpoint API key"
+            )
+        return replace(config, api_key=key)
 
 
 @dataclass(frozen=True)
@@ -126,7 +143,7 @@ class ScenarioConfig:
     snr_db: float = DEFAULT_SNR_DB
     num_snapshots: int = DEFAULT_SNAPSHOTS
     grid_resolution_deg: float = DEFAULT_GRID_RESOLUTION_DEG
-    llm: LlmSettings | None = None
+    llm: EndpointConfig | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -174,7 +191,8 @@ def load_scenario(path) -> ScenarioConfig:
 
 # YAML section -> (the config class it builds, the keys it takes), each key
 # the name of the field it fills. The ScenarioConfig sections fill its own
-# fields. optimizer takes no seed; see ScenarioConfig.
+# fields. optimizer takes no seed; see ScenarioConfig. llm takes no api_key,
+# so the key can only come from the environment.
 _SECTIONS = {
     "trajectory": (TrajectoryConfig, ("num_steps", "initial_angles", "angle_bounds", "drift")),
     "constraints": (
@@ -185,7 +203,7 @@ _SECTIONS = {
     "monitoring": (ScenarioConfig, ("relative_drop_threshold_db",)),
     "csi": (ScenarioConfig, ("snr_db", "num_snapshots")),
     "estimation": (ScenarioConfig, ("grid_resolution_deg",)),
-    "llm": (LlmSettings, ("base_url", "model_name", "api_key_env", "timeout_s", "max_retries")),
+    "llm": (EndpointConfig, ("base_url", "model_name", "api_key_env", "timeout_s", "max_retries")),
 }
 
 _DRIFTS = {"random_walk": RandomWalkDrift, "scripted": ScriptedDrift}

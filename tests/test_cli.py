@@ -34,6 +34,17 @@ optimizer:
 """
 
 
+SCRIPTED_CONFIG = """\
+schema_version: 1
+trajectory:
+  num_steps: 3
+  initial_angles: [60.0, 90.0, 120.0]
+  drift:
+    kind: scripted
+    waypoints: [[60.0, 90.0, 120.0], [61.0, 90.0, 120.0], [62.0, 90.0, 120.0]]
+"""
+
+
 def write_config(tmp_path, text=GOOD_CONFIG, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(text)
@@ -199,22 +210,23 @@ class TestRun:
         assert f"configuration error: optimizer.{field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, path",
+        "flag, path, text",
         [
-            ("--steps=0", "trajectory.num_steps"),
-            (f"--steps={MAX_STEPS + 1}", "trajectory.num_steps"),
-            ("--steps=1000000000", "trajectory.num_steps"),
-            ("--snr=-1e308", "csi.snr_db"),
+            ("--steps=0", "trajectory.num_steps", GOOD_CONFIG),
+            (f"--steps={MAX_STEPS + 1}", "trajectory.num_steps", GOOD_CONFIG),
+            ("--steps=1000000000", "trajectory.num_steps", GOOD_CONFIG),
+            ("--snr=-1e308", "csi.snr_db", GOOD_CONFIG),
+            ("--steps=5", "trajectory.drift.waypoints", SCRIPTED_CONFIG),
         ],
     )
     def test_override_that_cannot_run_exits_2_naming_the_field(
-        self, tmp_path, capsys, monkeypatch, flag, path
+        self, tmp_path, capsys, monkeypatch, flag, path, text
     ):
         def no_episode(*args, **kwargs):
             raise AssertionError("the episode must not start")
 
         monkeypatch.setattr(cli, "run_episode", no_episode)
-        config = write_config(tmp_path)
+        config = write_config(tmp_path, text)
         assert main(run_args(config, tmp_path, flag)) == 2
         assert f"configuration error: {path}" in capsys.readouterr().err
 
@@ -396,6 +408,16 @@ class TestLlmFlag:
         config = write_config(tmp_path)
         assert main(run_args(config, tmp_path, "--llm")) == 2
         assert "llm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [(), ("--llm",)], ids=["plain", "llm"])
+    def test_api_key_in_the_config_exits_2(self, tmp_path, capsys, monkeypatch, extra):
+        monkeypatch.setenv("EVOBEAM_API_KEY", SENTINEL_KEY)
+        path = self.llm_config(tmp_path, "http://127.0.0.1:1/v1")
+        path.write_text(path.read_text() + "  api_key: sk-in-a-file\n")
+        assert main(run_args(path, tmp_path, *extra)) == 2
+        err = capsys.readouterr().err
+        assert "configuration error: llm.api_key: unknown field" in err
+        assert "sk-in-a-file" not in err
 
     def test_llm_flag_without_api_key_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("EVOBEAM_API_KEY", raising=False)

@@ -4,10 +4,12 @@ import json
 import math
 import socket
 import time
+from dataclasses import replace
 
 import pytest
 from conftest import SENTINEL_KEY, MockEndpoint
 
+from evobeam import scenario
 from evobeam.errors import ConfigurationError, ValidationError
 from evobeam.lifecycle import (
     IDLE,
@@ -26,7 +28,7 @@ from evobeam.llm import (
     make_router,
     parse_role_name,
 )
-from evobeam.scenario import MAX_RETRIES, MAX_TIMEOUT_S, LlmSettings, default_scenario
+from evobeam.scenario import MAX_RETRIES, MAX_TIMEOUT_S, default_scenario
 
 
 def make_config(url, timeout_s=5.0, max_retries=0):
@@ -95,8 +97,12 @@ class TestParsing:
     ids=str,
 )
 def test_endpoint_config_checks_its_numbers(field, value):
-    with pytest.raises(ValidationError, match=rf"^{field}\b"):
+    with pytest.raises(ValidationError, match=rf"^llm\.{field}\b"):
         EndpointConfig(base_url="http://h/v1", model_name="m", **{field: value})
+
+
+def test_the_llm_section_and_the_router_share_one_config_class():
+    assert EndpointConfig is scenario.EndpointConfig
 
 
 class TestPrompt:
@@ -116,12 +122,16 @@ class TestPrompt:
         assert "3.9847" in prompt.text
         assert "7.8169" in prompt.text
 
-    def test_long_report_messages_are_clipped(self):
+    @pytest.mark.parametrize("field", ["message", "reason"])
+    def test_long_report_messages_are_clipped(self, field):
+        # a failed agent's reason is str(exc), which has no length bound
         blackboard = Blackboard()
         blackboard.stage = AgentRole.TRAINING
-        report = AgentReport(role=AgentRole.TRAINING, ok=True, message="x" * 100000)
+        texts = {"message": "", "reason": "", field: "\u00e9" * 100000}
+        report = AgentReport(role=AgentRole.TRAINING, ok=False, **texts)
         prompt = build_routing_prompt(blackboard, report, AgentRole.EVALUATION)
         assert len(prompt.text.encode()) <= 8192
+        assert "\u00e9" * 500 in prompt.text
 
     def test_prompt_without_all_roles_is_rejected(self):
         with pytest.raises(ValidationError):
@@ -244,10 +254,12 @@ class TestSecrecy:
         assert SENTINEL_KEY not in repr(decision)
 
     def test_from_settings_reads_the_environment(self, monkeypatch):
-        settings = LlmSettings(
+        settings = EndpointConfig(
             base_url="http://example.invalid/v1",
             model_name="m",
             api_key_env="EVOBEAM_TEST_KEY",
+            timeout_s=4.5,
+            max_retries=3,
         )
         monkeypatch.delenv("EVOBEAM_TEST_KEY", raising=False)
         with pytest.raises(ConfigurationError) as err:
@@ -255,7 +267,7 @@ class TestSecrecy:
         assert "EVOBEAM_TEST_KEY" in str(err.value)
         monkeypatch.setenv("EVOBEAM_TEST_KEY", SENTINEL_KEY)
         config = EndpointConfig.from_settings(settings)
-        assert config.api_key == SENTINEL_KEY
+        assert config == replace(settings, api_key=SENTINEL_KEY)
         assert SENTINEL_KEY not in repr(config)
 
 

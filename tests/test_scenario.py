@@ -20,6 +20,7 @@ from evobeam.scenario import (
     MAX_RETRIES,
     MAX_SNAPSHOTS,
     MAX_TIMEOUT_S,
+    EndpointConfig,
     ScenarioConfig,
     scenario_from_mapping,
 )
@@ -97,6 +98,10 @@ def test_snapshot_count_at_the_cap_loads():
         ("trajectory.num_steps", 0),
         ("trajectory.num_steps", MAX_STEPS + 1),
         ("trajectory.num_steps", 10**9),
+        ("trajectory.initial_angles", [2.0, 90.0, 120.0]),
+        ("trajectory.drift.waypoints", [[60.0, 90.0, 120.0]] * 2),
+        ("trajectory.drift.waypoints", [[60.0, 90.0, 120.0], [60.0, 90.0], [60.0, 90.0, 120.0]]),
+        ("trajectory.drift.waypoints", [[61.0, 90.0, 120.0]] * 3),
     ],
 )
 def test_value_that_cannot_run_is_rejected_with_its_path(path, value):
@@ -104,6 +109,8 @@ def test_value_that_cannot_run_is_rejected_with_its_path(path, value):
     # wide bound fits any element count, so only the cap can reject one
     mapping = with_value(path, value)
     mapping.setdefault("constraints", {})["position_bound"] = 1e9
+    if path == "trajectory.drift.waypoints":
+        mapping["trajectory"]["drift"]["kind"] = "scripted"
     with pytest.raises(ConfigurationError, match=rf"^{re.escape(path)}\b"):
         scenario_from_mapping(mapping)
 
@@ -201,6 +208,68 @@ def test_llm_counts_accept_whole_numbers():
     config = scenario_from_mapping(minimal_mapping(llm={**LLM, "max_retries": 3.0}))
     assert config.llm.max_retries == 3
     assert type(config.llm.max_retries) is int
+
+
+def test_llm_section_cannot_carry_the_key():
+    # the key comes only from the variable api_key_env names
+    with pytest.raises(ConfigurationError, match=r"^llm\.api_key: unknown field"):
+        scenario_from_mapping(minimal_mapping(llm={**LLM, "api_key": "sk-in-a-file"}))
+    assert scenario_from_mapping(minimal_mapping(llm=LLM)).llm.api_key == ""
+
+
+LLM_FIELDS = {
+    "base_url": (st.just("http://127.0.0.1:1/v1"), st.one_of(st.just(""), st.integers())),
+    "model_name": (st.text(min_size=1, max_size=6), st.one_of(st.just(""), st.none())),
+    "api_key_env": (st.just("EVOBEAM_API_KEY"), st.one_of(st.just(""), st.booleans())),
+    "timeout_s": (
+        st.floats(min_value=1e-3, max_value=MAX_TIMEOUT_S),
+        st.one_of(
+            st.floats(max_value=0.0),
+            st.floats(min_value=MAX_TIMEOUT_S, exclude_min=True),
+            st.just(math.nan),
+            st.booleans(),
+            st.text(max_size=3),
+        ),
+    ),
+    "max_retries": (
+        st.integers(0, MAX_RETRIES),
+        st.one_of(
+            st.integers(max_value=-1),
+            st.integers(min_value=MAX_RETRIES + 1),
+            st.floats(min_value=0.1, max_value=0.9),
+            st.just(math.inf),
+            st.booleans(),
+        ),
+    ),
+}
+
+
+@st.composite
+def llm_sections(draw):
+    """An llm section with each field left out, drawn valid or drawn invalid."""
+    section, bad = {}, set()
+    for name, (good, wrong) in LLM_FIELDS.items():
+        choice = draw(st.sampled_from(["absent", "valid", "invalid"]))
+        if choice != "absent":
+            section[name] = draw(good if choice == "valid" else wrong)
+        if choice == "invalid":
+            bad.add(name)
+    return section, bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=llm_sections())
+def test_llm_section_loads_or_names_a_bad_field(drawn):
+    section, bad = drawn
+    try:
+        config = scenario_from_mapping(minimal_mapping(llm=section))
+    except ConfigurationError as exc:
+        missing = {"base_url", "model_name"} - set(section)
+        named = re.match(r"llm\.(\w+)\b", str(exc))
+        assert named is not None and named.group(1) in bad | missing, str(exc)
+    else:
+        assert not bad
+        assert not section or config.llm == EndpointConfig(**section)
 
 
 # The schema as nested mappings; each leaf holds one valid value.
