@@ -23,7 +23,7 @@ _GEOMETRY_SLACK = 1e-12
 
 # every element adds a row to each steering matrix, a row and a column to
 # the estimator's covariance, and num_snapshots complex samples to a step's
-# CSI batch (1.6 MB per element at scenario.MAX_SNAPSHOTS); an unbounded
+# CSI batch (1.6 MB per element at channel.MAX_SNAPSHOTS); an unbounded
 # count would fail only inside a run, with an allocation error
 MAX_ELEMENTS = 128
 
@@ -200,22 +200,27 @@ def sum_beam_gain(geometry: ArrayGeometry, weights, doas: DoASet) -> BeamGain:
     Returns:
         BeamGain(linear, db).
     """
-    w = np.asarray(weights, dtype=complex)
-    if w.shape != (geometry.num_elements,):
-        raise ValidationError(
-            f"weights shape {w.shape} does not match {geometry.num_elements} elements"
-        )
-    if not (np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))):
-        raise ValidationError("weights must be finite")
-    norm = np.linalg.norm(w)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValidationError(f"weights must have unit norm, got {norm}")
+    w = check_weights(weights, geometry.num_elements)
     s = steering_matrix(geometry, doas.angles_deg)
     responses = w.conj() @ s
     linear = float(np.sum(np.abs(responses) ** 2))
     if linear < GAIN_FLOOR:
         return BeamGain(linear, float("-inf"))
     return BeamGain(linear, 10.0 * math.log10(linear))
+
+
+def check_weights(weights, num_elements: int) -> np.ndarray:
+    """Validate a finite weight vector of unit L2 norm (within 1e-9) and
+    return it as a complex array."""
+    w = np.asarray(weights, dtype=complex)
+    if w.shape != (num_elements,):
+        raise ValidationError(f"weights shape {w.shape} does not match {num_elements} elements")
+    if not (np.all(np.isfinite(w.real)) and np.all(np.isfinite(w.imag))):
+        raise ValidationError("weights must be finite")
+    norm = np.linalg.norm(w)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValidationError(f"weights must have unit norm, got {norm}")
+    return w
 
 
 def check_hermitian(matrix: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:

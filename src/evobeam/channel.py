@@ -9,7 +9,6 @@ seeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -19,7 +18,12 @@ from .arrays import ArrayGeometry, DoASet, steering_matrix
 from .errors import ValidationError, check_count, check_finite
 
 DEFAULT_SNAPSHOTS = 200
-DEFAULT_ANGLE_BOUNDS = (5.0, 175.0)
+# every snapshot is a row of N complex samples, 1.6 MB per element at this
+# cap; an unbounded count would fail only inside the draw, with an
+# allocation error
+MAX_SNAPSHOTS = 100_000
+# users drift, and the estimator scans, inside these directions (degrees)
+ANGLE_BOUNDS = (5.0, 175.0)
 DEFAULT_NUM_STEPS = 50
 # generate_trajectory builds the whole trajectory before step 0, so an
 # unbounded step count would hold memory and time before any work is done
@@ -63,22 +67,16 @@ class TrajectoryConfig:
     initial_angles: DoASet
     num_steps: int = DEFAULT_NUM_STEPS
     drift: DriftModel = field(default_factory=RandomWalkDrift)
-    angle_bounds: tuple = DEFAULT_ANGLE_BOUNDS
     seed: int = 0
 
     def __post_init__(self):
         num_steps = check_count("trajectory.num_steps", self.num_steps, 1, MAX_STEPS)
         object.__setattr__(self, "num_steps", num_steps)
-        bounds = self.angle_bounds
-        if len(bounds) != 2 or not 0.0 < bounds[0] < bounds[1] < 180.0:
-            raise ValidationError(
-                f"trajectory.angle_bounds {bounds} must be (lo, hi) with 0 < lo < hi < 180"
-            )
-        lo, hi = bounds
+        lo, hi = ANGLE_BOUNDS
         for a in self.initial_angles.angles_deg:
             if not (lo <= a <= hi):
                 raise ValidationError(
-                    f"trajectory.initial_angles: {a} outside bounds {self.angle_bounds}"
+                    f"trajectory.initial_angles: {a} outside bounds {ANGLE_BOUNDS}"
                 )
         if isinstance(self.drift, ScriptedDrift):
             path = "trajectory.drift.waypoints"
@@ -104,16 +102,9 @@ class TrajectoryConfig:
 
 @dataclass(frozen=True)
 class CsiSnapshotBatch:
-    """R snapshots of array outputs plus the ground truth that produced them.
-
-    true_angles are carried for scoring only; estimators receive the
-    snapshots (or their covariance), never this field.
-    """
+    """R snapshots of array outputs, one row of N samples each, read-only."""
 
     snapshots: np.ndarray
-    snr_db: float
-    true_angles: DoASet
-    seed: int
 
     def __post_init__(self):
         snaps = np.asarray(self.snapshots, dtype=complex)
@@ -121,8 +112,6 @@ class CsiSnapshotBatch:
             raise ValidationError("snapshots must be a nonempty R x N matrix")
         snaps.setflags(write=False)
         object.__setattr__(self, "snapshots", snaps)
-        if not math.isfinite(self.snr_db):
-            raise ValidationError("snr_db must be finite")
 
     @property
     def num_snapshots(self) -> int:
@@ -133,7 +122,7 @@ def generate_trajectory(config: TrajectoryConfig) -> list:
     """DoA sets for steps 0 .. T-1; step 0 equals initial_angles."""
     if isinstance(config.drift, ScriptedDrift):
         return [DoASet(w) for w in config.drift.waypoints]
-    lo, hi = config.angle_bounds
+    lo, hi = ANGLE_BOUNDS
     sigma = config.drift.sigma_deg_per_step
     rng = np.random.default_rng(config.seed)
     angles = np.asarray(config.initial_angles.angles_deg, dtype=float)
@@ -173,15 +162,13 @@ def synthesize_csi(
         geometry: receiving array.
         doas: true source directions.
         snr_db: per-element SNR against one unit-power source.
-        num_snapshots: R, number of snapshots to draw.
+        num_snapshots: R, number of snapshots to draw, at most MAX_SNAPSHOTS.
         seed: generator seed; equal seeds give bit-identical batches.
     """
-    if num_snapshots < 1:
-        raise ValidationError("num_snapshots must be >= 1")
+    r = check_count("num_snapshots", num_snapshots, 1, MAX_SNAPSHOTS)
     noise_var = noise_power(snr_db)
     rng = np.random.default_rng(seed)
     k = len(doas)
-    r = int(num_snapshots)
     s = steering_matrix(geometry, doas.angles_deg)
     symbols = (rng.standard_normal((r, k)) + 1j * rng.standard_normal((r, k))) / np.sqrt(2)
     noise = np.sqrt(noise_var / 2) * (
@@ -189,7 +176,7 @@ def synthesize_csi(
         + 1j * rng.standard_normal((r, geometry.num_elements))
     )
     snapshots = symbols @ s.T + noise
-    return CsiSnapshotBatch(snapshots=snapshots, snr_db=float(snr_db), true_angles=doas, seed=int(seed))
+    return CsiSnapshotBatch(snapshots)
 
 
 def noise_power(snr_db, name="snr_db") -> float:

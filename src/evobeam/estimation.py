@@ -7,15 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrays import ArrayGeometry, DoASet, check_hermitian, steering_matrix
-from .channel import DEFAULT_ANGLE_BOUNDS, CsiSnapshotBatch
-from .errors import ValidationError, check_finite
+from .channel import ANGLE_BOUNDS, CsiSnapshotBatch
+from .errors import ValidationError, check_count
 
-DEFAULT_GRID_RESOLUTION_DEG = 0.5
-
-# the scan holds an N x G complex steering matrix for its G grid points;
-# at this floor G stays below 18,000 (0.3 MB per element), where an
-# unbounded grid would fail only inside the scan, with an allocation error
-MIN_GRID_RESOLUTION_DEG = 0.01
+GRID_RESOLUTION_DEG = 0.5
 
 # Two peaks closer than this are treated as one.
 MIN_PEAK_SEPARATION_DEG = 2.0
@@ -34,7 +29,6 @@ class DoaEstimate:
     angles: DoASet
     grid_deg: np.ndarray
     spectrum: np.ndarray
-    grid_resolution_deg: float
     peak_values: tuple
     low_confidence: bool
 
@@ -54,48 +48,37 @@ def sample_covariance(batch: CsiSnapshotBatch) -> np.ndarray:
     return (cov + cov.conj().T) / 2
 
 
-def estimate_doas(
-    covariance,
-    geometry: ArrayGeometry,
-    num_sources: int,
-    grid_resolution_deg: float = DEFAULT_GRID_RESOLUTION_DEG,
-    angle_bounds: tuple = DEFAULT_ANGLE_BOUNDS,
-) -> DoaEstimate:
+def estimate_doas(covariance, geometry: ArrayGeometry, num_sources: int) -> DoaEstimate:
     """Scan the Bartlett spectrum and pick the strongest separated peaks.
 
-    The spectrum is P(theta) = a(theta)^H R a(theta) / N on a regular grid
-    over angle_bounds. Peaks are strict local maxima, taken greedily by
-    descending value (ties broken toward lower angles) subject to a minimum
-    separation of MIN_PEAK_SEPARATION_DEG. If fewer than num_sources
-    separated peaks exist, the remainder are the largest leftover grid
-    points and the estimate is flagged low confidence.
+    The spectrum is P(theta) = a(theta)^H R a(theta) / N on a fixed grid
+    of GRID_RESOLUTION_DEG steps over channel.ANGLE_BOUNDS. Peaks are
+    strict local maxima, taken greedily by descending value (ties broken
+    toward lower angles) subject to a minimum separation of
+    MIN_PEAK_SEPARATION_DEG. If fewer than num_sources separated peaks
+    exist, the remainder are the largest leftover grid points and the
+    estimate is flagged low confidence.
 
     Args:
         covariance: Hermitian N x N snapshot covariance.
         geometry: array that produced the snapshots.
-        num_sources: K, number of directions to return; must be < N.
-        grid_resolution_deg: scan step in degrees, at least
-            MIN_GRID_RESOLUTION_DEG.
-        angle_bounds: (lo, hi) scan interval in degrees.
+        num_sources: K, number of directions to return; an integer in
+            [1, N - 1].
 
     Returns:
         DoaEstimate with K angles sorted ascending.
     """
     n = geometry.num_elements
-    if not 1 <= num_sources < n:
-        raise ValidationError(f"num_sources must be in [1, {n - 1}], got {num_sources}")
-    check_finite("grid_resolution_deg", grid_resolution_deg, MIN_GRID_RESOLUTION_DEG)
-    lo, hi = angle_bounds
-    if not (0.0 < lo < hi < 180.0):
-        raise ValidationError(f"angle_bounds {angle_bounds} must satisfy 0 < lo < hi < 180")
+    num_sources = check_count("num_sources", num_sources, 1, n - 1)
     cov = check_hermitian(covariance)
     if cov.shape[0] != n:
         raise ValidationError(
             f"covariance is {cov.shape[0]}x{cov.shape[0]} but the array has {n} elements"
         )
 
-    count = int(np.floor((hi - lo) / grid_resolution_deg + 1e-9)) + 1
-    grid = lo + grid_resolution_deg * np.arange(count)
+    lo, hi = ANGLE_BOUNDS
+    count = int(np.floor((hi - lo) / GRID_RESOLUTION_DEG + 1e-9)) + 1
+    grid = lo + GRID_RESOLUTION_DEG * np.arange(count)
     a = steering_matrix(geometry, grid)
     spectrum = np.real(np.einsum("ng,nm,mg->g", a.conj(), cov, a)) / n
 
@@ -121,7 +104,6 @@ def estimate_doas(
         angles=angles,
         grid_deg=grid,
         spectrum=spectrum,
-        grid_resolution_deg=float(grid_resolution_deg),
         peak_values=tuple(float(spectrum[i]) for i in chosen),
         low_confidence=low_confidence,
     )

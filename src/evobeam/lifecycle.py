@@ -18,13 +18,17 @@ from enum import Enum
 import numpy as np
 
 from .arrays import DoASet, sum_beam_gain
-from .channel import generate_trajectory, synthesize_csi
+from .channel import DEFAULT_SNAPSHOTS, generate_trajectory, synthesize_csi
 from .errors import EvobeamError, ProtocolError, ValidationError
 from .estimation import DoaEstimate, estimate_doas, sample_covariance
 from .optimize import MAX_OUTER_ITERATIONS, BeamformingSolution, fixed_baseline, optimize_movable
-from .scenario import DEFAULT_RELATIVE_DROP_DB, ScenarioConfig
+from .scenario import ScenarioConfig
 
 MAX_TRAINING_ROUNDS = 5
+
+# Monitoring fires when the deployed gain fell by more than this since
+# its last check
+DEFAULT_RELATIVE_DROP_DB = 3.0
 
 # slack applied wherever a recovered gain is compared against the baseline,
 # so equal solutions reached through different arithmetic still pass
@@ -371,15 +375,10 @@ def _sense(geometry, blackboard, scenario, stream):
         geometry,
         blackboard.true_angles,
         scenario.snr_db,
-        scenario.num_snapshots,
         seed=_derive_seed(scenario.seed, stream, step, attempt),
     )
     return estimate_doas(
-        sample_covariance(csi),
-        geometry,
-        len(scenario.trajectory.initial_angles),
-        scenario.grid_resolution_deg,
-        scenario.trajectory.angle_bounds,
+        sample_covariance(csi), geometry, len(scenario.trajectory.initial_angles)
     )
 
 
@@ -393,7 +392,7 @@ def _run_data_collection(blackboard, scenario):
         role=AgentRole.DATA_COLLECTION,
         ok=True,
         message=(
-            f"collected {scenario.num_snapshots} snapshots, "
+            f"collected {DEFAULT_SNAPSHOTS} snapshots, "
             f"estimated directions {_format_angles(estimate.angles.angles_deg)}"
         ),
     )
@@ -526,8 +525,7 @@ def _run_monitoring(blackboard, scenario):
     baseline = fixed_baseline(estimate.angles, scenario.constraints)
     last = blackboard.last_deployed_gain_db
     last = deployed_db if last is None else last
-    threshold = scenario.relative_drop_threshold_db
-    decision = monitoring_check(deployed_db, baseline.gain_db, last, threshold)
+    decision = monitoring_check(deployed_db, baseline.gain_db, last)
     blackboard.latest_estimate = estimate
     blackboard.baseline_solution = baseline
     blackboard.trigger_decision = decision

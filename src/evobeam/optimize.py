@@ -18,6 +18,7 @@ from .arrays import (
     ArrayConstraints,
     ArrayGeometry,
     DoASet,
+    check_weights,
     gain_matrix,
     principal_eigenpair,
     spatial_frequencies,
@@ -155,13 +156,7 @@ def position_gradient(geometry: ArrayGeometry, weights, doas: DoASet) -> np.ndar
     Weights are held fixed; when they are the optimal weights this is also
     the gradient of the eigenvalue objective.
     """
-    w = np.asarray(weights, dtype=complex)
-    if w.shape != (geometry.num_elements,):
-        raise ValidationError(
-            f"weights shape {w.shape} does not match {geometry.num_elements} elements"
-        )
-    if abs(np.linalg.norm(w) - 1.0) > 1e-9:
-        raise ValidationError("weights must have unit norm")
+    w = check_weights(weights, geometry.num_elements)
     s = steering_matrix(geometry, doas.angles_deg)
     alpha = spatial_frequencies(geometry.wavelength, doas.angles_deg)
     return _gradient(s, w, alpha)

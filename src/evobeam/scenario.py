@@ -9,7 +9,6 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
     trajectory:
       num_steps: 50                     # optional, default shown
       initial_angles: [60.0, 90.0, 120.0]
-      angle_bounds: [5.0, 175.0]        # optional
       drift:                            # optional, default shown
         kind: random_walk               # or scripted
         sigma_deg_per_step: 1.0         # random_walk only
@@ -21,13 +20,8 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
       position_bound: 0.625
     optimizer:                          # optional search budget, default shown
       restarts: 16                      # at most optimize.MAX_RESTARTS (1024)
-    monitoring:
-      relative_drop_threshold_db: 3.0
-    csi:
+    csi:                                # optional, default shown
       snr_db: 10.0
-      num_snapshots: 200
-    estimation:
-      grid_resolution_deg: 0.5
     llm:                                # optional routing endpoint
       base_url: "http://127.0.0.1:8080"
       model_name: "gpt-4o"
@@ -41,6 +35,10 @@ the constants in evobeam.optimize). It takes no seed: every Training run
 draws its seed from the scenario seed. The llm section builds an
 EndpointConfig; it names the environment variable that holds the API key,
 never the key, which EndpointConfig.from_settings reads at run time.
+Sensing is fixed too: users stay inside channel.ANGLE_BOUNDS, every CSI
+batch holds channel.DEFAULT_SNAPSHOTS snapshots, the estimator scans a
+fixed grid, and Monitoring fires on a drop of
+lifecycle.DEFAULT_RELATIVE_DROP_DB.
 Loader errors carry the dotted path of the offending field.
 """
 
@@ -54,7 +52,6 @@ import yaml
 from .arrays import ArrayConstraints, DoASet
 from .channel import (
     DEFAULT_NUM_STEPS,
-    DEFAULT_SNAPSHOTS,
     RandomWalkDrift,
     ScriptedDrift,
     TrajectoryConfig,
@@ -67,19 +64,13 @@ from .errors import (
     check_finite,
     check_positive_finite,
 )
-from .estimation import DEFAULT_GRID_RESOLUTION_DEG, MIN_GRID_RESOLUTION_DEG
 from .optimize import OptimizerConfig
 
 SCHEMA_VERSION = 1
 
 DEFAULT_INITIAL_ANGLES = (60.0, 90.0, 120.0)
 DEFAULT_SNR_DB = 10.0
-DEFAULT_RELATIVE_DROP_DB = 3.0
 DEFAULT_API_KEY_ENV = "EVOBEAM_API_KEY"
-# every step draws a num_snapshots x N complex batch, 1.6 MB per element
-# at this cap; an unbounded count would fail only inside the run, with an
-# allocation error
-MAX_SNAPSHOTS = 100_000
 # socket.settimeout raises OverflowError from about 9.2e9 s, which would
 # fail only inside the run; no routing answer is worth an hour's wait
 MAX_TIMEOUT_S = 3600.0
@@ -139,26 +130,12 @@ class ScenarioConfig:
     trajectory: TrajectoryConfig
     constraints: ArrayConstraints = field(default_factory=ArrayConstraints)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    relative_drop_threshold_db: float = DEFAULT_RELATIVE_DROP_DB
     snr_db: float = DEFAULT_SNR_DB
-    num_snapshots: int = DEFAULT_SNAPSHOTS
-    grid_resolution_deg: float = DEFAULT_GRID_RESOLUTION_DEG
     llm: EndpointConfig | None = None
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(
-            "monitoring.relative_drop_threshold_db", self.relative_drop_threshold_db, 0
-        )
         noise_power(self.snr_db, "csi.snr_db")
-        object.__setattr__(
-            self,
-            "num_snapshots",
-            check_count("csi.num_snapshots", self.num_snapshots, 1, MAX_SNAPSHOTS),
-        )
-        check_finite(
-            "estimation.grid_resolution_deg", self.grid_resolution_deg, MIN_GRID_RESOLUTION_DEG
-        )
         object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
         if len(self.trajectory.initial_angles) >= self.constraints.num_elements:
             raise ConfigurationError(
@@ -194,15 +171,13 @@ def load_scenario(path) -> ScenarioConfig:
 # fields. optimizer takes no seed; see ScenarioConfig. llm takes no api_key,
 # so the key can only come from the environment.
 _SECTIONS = {
-    "trajectory": (TrajectoryConfig, ("num_steps", "initial_angles", "angle_bounds", "drift")),
+    "trajectory": (TrajectoryConfig, ("num_steps", "initial_angles", "drift")),
     "constraints": (
         ArrayConstraints,
         ("wavelength", "num_elements", "min_spacing", "position_bound"),
     ),
     "optimizer": (OptimizerConfig, ("restarts",)),
-    "monitoring": (ScenarioConfig, ("relative_drop_threshold_db",)),
-    "csi": (ScenarioConfig, ("snr_db", "num_snapshots")),
-    "estimation": (ScenarioConfig, ("grid_resolution_deg",)),
+    "csi": (ScenarioConfig, ("snr_db",)),
     "llm": (EndpointConfig, ("base_url", "model_name", "api_key_env", "timeout_s", "max_retries")),
 }
 
@@ -272,7 +247,6 @@ def _drift(value, path):
 # keys whose YAML value is reshaped before its dataclass sees it
 _CONVERTERS = {
     "trajectory.initial_angles": lambda value, path: DoASet(_angles(value, path)),
-    "trajectory.angle_bounds": _angles,
     "trajectory.drift": _drift,
     "trajectory.drift.waypoints": _waypoints,
 }

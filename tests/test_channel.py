@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from evobeam.arrays import ArrayConstraints, DoASet, steering_vector
 from evobeam.channel import (
+    MAX_SNAPSHOTS,
     MAX_STEPS,
     CsiSnapshotBatch,
     RandomWalkDrift,
@@ -151,10 +152,8 @@ def test_average_snapshot_power_matches_k_plus_noise():
     assert abs(power - expected) / expected < 0.05
 
 
-def test_batch_carries_truth_but_is_read_only():
-    doas = DoASet((88.0,))
-    batch = synthesize_csi(GEOMETRY, doas, 10.0, 50, seed=1)
-    assert batch.true_angles == doas
+def test_batch_is_read_only():
+    batch = synthesize_csi(GEOMETRY, DoASet((88.0,)), 10.0, 50, seed=1)
     assert batch.num_snapshots == 50
     with pytest.raises(ValueError):
         batch.snapshots[0, 0] = 0.0
@@ -163,6 +162,13 @@ def test_batch_carries_truth_but_is_read_only():
 def test_csi_rejects_bad_snapshot_count():
     with pytest.raises(ValidationError):
         synthesize_csi(GEOMETRY, DoASet((90.0,)), 10.0, 0, seed=1)
+
+
+@pytest.mark.parametrize("value", [MAX_SNAPSHOTS + 1, 10**12, float(10**12), 1.5, True])
+def test_snapshot_count_above_the_cap_is_rejected_with_its_path(value):
+    # the count is checked before the draw, so a huge one costs nothing
+    with pytest.raises(ValidationError, match=r"^num_snapshots\b"):
+        synthesize_csi(GEOMETRY, DoASet((90.0,)), 10.0, value, seed=1)
 
 
 @pytest.mark.parametrize("snr_db", [-1e308, -3100.0, float("-inf"), float("nan")])

@@ -126,8 +126,6 @@ class TestRun:
             ("seed", math.nan),
             ("trajectory.num_steps", math.inf),
             ("trajectory.num_steps", math.nan),
-            ("csi.num_snapshots", math.inf),
-            ("estimation.grid_resolution_deg", math.inf),
             ("constraints.num_elements", math.inf),
             ("constraints.num_elements", math.nan),
             ("optimizer.restarts", 1.5),
@@ -156,16 +154,40 @@ class TestRun:
         assert main(run_args(config, tmp_path, "--llm")) == 2
         assert f"configuration error: {path}" in capsys.readouterr().err
 
-    def test_huge_snapshot_count_exits_2_before_the_episode_runs(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (
+                "monitoring:\n  relative_drop_threshold_db: 3.0\n",
+                "monitoring: unknown configuration section",
+            ),
+            (
+                "estimation:\n  grid_resolution_deg: 0.5\n",
+                "estimation: unknown configuration section",
+            ),
+            ("csi:\n  snr_db: 10.0\n  num_snapshots: 200\n", "csi.num_snapshots: unknown field"),
+            (
+                "trajectory:\n  initial_angles: [60.0, 90.0, 120.0]\n  angle_bounds: [5.0, 175.0]\n",
+                "trajectory.angle_bounds: unknown field",
+            ),
+        ],
+        ids=["monitoring", "estimation", "num_snapshots", "angle_bounds"],
+    )
+    def test_fixed_sensing_setting_exits_2_before_the_episode_runs(
+        self, tmp_path, capsys, monkeypatch, section, message
     ):
+        # the drop threshold, snapshot count, scan grid and angle bounds are
+        # constants, so a config that sets one is rejected, not ignored
         def no_episode(*args, **kwargs):
             raise AssertionError("the episode must not start")
 
         monkeypatch.setattr(cli, "run_episode", no_episode)
-        config = write_config(tmp_path, GOOD_CONFIG + "csi:\n  num_snapshots: 1000000000000\n")
+        text = "schema_version: 1\n" + section
+        if not section.startswith("trajectory"):
+            text += "trajectory:\n  initial_angles: [60.0, 90.0, 120.0]\n"
+        config = write_config(tmp_path, text)
         assert main(run_args(config, tmp_path)) == 2
-        assert "configuration error: csi.num_snapshots" in capsys.readouterr().err
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, path",
@@ -175,10 +197,9 @@ class TestRun:
                 "constraints:\n  num_elements: 1000000000\n  position_bound: 1.0e+9\n",
                 "constraints.num_elements",
             ),
-            ("estimation:\n  grid_resolution_deg: 1.0e-12\n", "estimation.grid_resolution_deg"),
             ("csi:\n  snr_db: -1.0e+308\n", "csi.snr_db"),
         ],
-        ids=["restarts", "num_elements", "grid_resolution_deg", "snr_db"],
+        ids=["restarts", "num_elements", "snr_db"],
     )
     def test_value_that_cannot_run_exits_2_before_any_solve(
         self, tmp_path, capsys, monkeypatch, section, path

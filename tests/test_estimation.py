@@ -9,12 +9,7 @@ from numpy.testing import assert_allclose
 from evobeam.arrays import ArrayConstraints, DoASet, steering_vector
 from evobeam.channel import synthesize_csi
 from evobeam.errors import ValidationError
-from evobeam.estimation import (
-    MIN_GRID_RESOLUTION_DEG,
-    _local_maxima,
-    estimate_doas,
-    sample_covariance,
-)
+from evobeam.estimation import _local_maxima, estimate_doas, sample_covariance
 
 GEOMETRY = ArrayConstraints().uniform_geometry()
 
@@ -39,12 +34,7 @@ def test_single_snapshot_covariance_is_the_outer_product():
 def test_zero_snapshots_give_zero_covariance():
     from evobeam.channel import CsiSnapshotBatch
 
-    batch = CsiSnapshotBatch(
-        snapshots=np.zeros((4, 8), dtype=complex),
-        snr_db=0.0,
-        true_angles=DoASet((90.0,)),
-        seed=0,
-    )
+    batch = CsiSnapshotBatch(snapshots=np.zeros((4, 8), dtype=complex))
     assert np.all(sample_covariance(batch) == 0)
 
 
@@ -100,24 +90,18 @@ def test_estimates_are_sorted_on_grid_with_matching_peak_values():
 
 
 def test_estimator_rejects_too_many_sources():
-    with pytest.raises(ValidationError):
-        estimate_doas(np.eye(8, dtype=complex), GEOMETRY, num_sources=8)
-    with pytest.raises(ValidationError):
-        estimate_doas(np.eye(8, dtype=complex), GEOMETRY, num_sources=0)
+    # a fraction once slipped past the range check and returned 6 angles
+    cov = analytic_covariance(GEOMETRY, (60.0, 100.0, 140.0))
+    for num_sources in (8, 0, 1.5, True):
+        with pytest.raises(ValidationError, match=r"^num_sources\b"):
+            estimate_doas(cov, GEOMETRY, num_sources=num_sources)
 
 
-@pytest.mark.parametrize("resolution", [MIN_GRID_RESOLUTION_DEG / 2, 1e-12, 0.0, float("nan")])
-def test_estimator_rejects_a_grid_below_the_floor(resolution):
-    cov = analytic_covariance(GEOMETRY, (70.0,))
-    with pytest.raises(ValidationError, match=r"^grid_resolution_deg\b"):
-        estimate_doas(cov, GEOMETRY, 1, grid_resolution_deg=resolution)
-
-
-def test_estimator_scans_at_the_floor():
-    cov = analytic_covariance(GEOMETRY, (70.0,))
-    estimate = estimate_doas(cov, GEOMETRY, 1, MIN_GRID_RESOLUTION_DEG, (60.0, 80.0))
-    assert estimate.grid_deg.size == 2001
-    assert estimate.angles.angles_deg == pytest.approx((70.0,), abs=MIN_GRID_RESOLUTION_DEG)
+def test_estimator_scans_the_fixed_grid():
+    estimate = estimate_doas(analytic_covariance(GEOMETRY, (70.0,)), GEOMETRY, 1)
+    assert estimate.grid_deg.size == 341
+    assert (estimate.grid_deg[0], estimate.grid_deg[-1]) == (5.0, 175.0)
+    assert estimate.angles.angles_deg == (70.0,)
 
 
 def test_spectrum_is_nonnegative():

@@ -63,7 +63,6 @@ def make_pair(constraints=None, true_angles=THREE_USERS):
         trajectory=trajectory,
         constraints=constraints or ArrayConstraints(),
         optimizer=OptimizerConfig(restarts=4),
-        num_snapshots=100,
     )
     return Blackboard(true_angles=true_angles), scenario
 

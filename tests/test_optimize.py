@@ -369,6 +369,19 @@ def test_gradient_matches_central_differences():
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "weights", [np.full(8, np.nan, dtype=complex), np.ones(8), np.ones(7) / np.sqrt(7)]
+)
+def test_gradient_rejects_the_weights_the_gain_rejects(weights):
+    # all-NaN weights once passed the norm check and gave a NaN gradient
+    g = ArrayConstraints().uniform_geometry()
+    doas = DoASet((60.0, 120.0))
+    with pytest.raises(ValidationError, match=r"^weights\b"):
+        position_gradient(g, weights, doas)
+    with pytest.raises(ValidationError, match=r"^weights\b"):
+        sum_beam_gain(g, weights, doas)
+
+
 # ---------------------------------------------------------------- fixed baseline
 
 
