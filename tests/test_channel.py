@@ -6,6 +6,8 @@ from numpy.testing import assert_allclose
 
 from evobeam.arrays import ArrayConstraints, DoASet, steering_vector
 from evobeam.channel import (
+    ANGLE_BOUNDS,
+    DEFAULT_SNAPSHOTS,
     MAX_SNAPSHOTS,
     MAX_STEPS,
     CsiSnapshotBatch,
@@ -111,6 +113,11 @@ def test_initial_angles_outside_bounds_are_rejected():
         walk_config(1.0, initial=(3.0, 90.0, 120.0))
 
 
+@pytest.mark.parametrize("initial", [(ANGLE_BOUNDS[0], 90.0), (90.0, ANGLE_BOUNDS[1])])
+def test_initial_angles_at_the_bounds_are_accepted(initial):
+    assert walk_config(1.0, initial=initial).initial_angles.angles_deg == initial
+
+
 # ---------------------------------------------------------------- CSI
 
 
@@ -159,9 +166,21 @@ def test_batch_is_read_only():
         batch.snapshots[0, 0] = 0.0
 
 
-def test_csi_rejects_bad_snapshot_count():
-    with pytest.raises(ValidationError):
-        synthesize_csi(GEOMETRY, DoASet((90.0,)), 10.0, 0, seed=1)
+@pytest.mark.parametrize("value", [0, -1, -(10**12)])
+def test_csi_rejects_bad_snapshot_count(value):
+    with pytest.raises(ValidationError, match=r"^num_snapshots\b"):
+        synthesize_csi(GEOMETRY, DoASet((90.0,)), 10.0, value, seed=1)
+
+
+def test_snapshot_count_at_the_cap_is_accepted():
+    batch = synthesize_csi(GEOMETRY, DoASet((90.0,)), 10.0, MAX_SNAPSHOTS, seed=1)
+    assert batch.snapshots.shape == (MAX_SNAPSHOTS, GEOMETRY.num_elements)
+
+
+def test_default_snapshot_count_is_the_reported_one():
+    # DataCollection reports "collected 200 snapshots" in its routing summary
+    assert DEFAULT_SNAPSHOTS == 200
+    assert synthesize_csi(GEOMETRY, DoASet((90.0,)), 10.0, seed=1).num_snapshots == 200
 
 
 @pytest.mark.parametrize("value", [MAX_SNAPSHOTS + 1, 10**12, float(10**12), 1.5, True])

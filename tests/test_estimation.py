@@ -89,12 +89,18 @@ def test_estimates_are_sorted_on_grid_with_matching_peak_values():
         assert est.spectrum[i] == v
 
 
-def test_estimator_rejects_too_many_sources():
+@pytest.mark.parametrize("num_sources", [8, 0, -1, 1.5, True])
+def test_estimator_rejects_too_many_sources(num_sources):
     # a fraction once slipped past the range check and returned 6 angles
     cov = analytic_covariance(GEOMETRY, (60.0, 100.0, 140.0))
-    for num_sources in (8, 0, 1.5, True):
-        with pytest.raises(ValidationError, match=r"^num_sources\b"):
-            estimate_doas(cov, GEOMETRY, num_sources=num_sources)
+    with pytest.raises(ValidationError, match=r"^num_sources\b"):
+        estimate_doas(cov, GEOMETRY, num_sources=num_sources)
+
+
+def test_estimator_returns_num_sources_angles_at_the_top_of_the_range():
+    estimate = estimate_doas(analytic_covariance(GEOMETRY, (60.0, 100.0, 140.0)), GEOMETRY, 7)
+    assert len(estimate.angles) == 7
+    assert len(estimate.peak_values) == 7
 
 
 def test_estimator_scans_the_fixed_grid():

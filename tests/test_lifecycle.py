@@ -9,6 +9,7 @@ from evobeam.arrays import ArrayConstraints, DoASet, sum_beam_gain
 from evobeam.channel import RandomWalkDrift, ScriptedDrift, TrajectoryConfig
 from evobeam.errors import ProtocolError, ValidationError
 from evobeam.lifecycle import (
+    DEFAULT_RELATIVE_DROP_DB,
     IDLE,
     MAX_TRAINING_ROUNDS,
     AgentReport,
@@ -98,6 +99,11 @@ class TestMonitoringCheck:
     def test_drop_exactly_at_threshold_does_not_trigger(self):
         assert not monitoring_check(11.0, 7.0, 14.0, 3.0).trigger
         assert monitoring_check(10.999, 7.0, 14.0, 3.0).trigger
+
+    @pytest.mark.parametrize("deployed, trigger", [(11.0, False), (10.999, True)])
+    def test_default_threshold_is_a_three_db_drop(self, deployed, trigger):
+        assert DEFAULT_RELATIVE_DROP_DB == 3.0
+        assert monitoring_check(deployed, 7.0, 14.0).trigger is trigger
 
     def test_below_baseline_takes_precedence_over_relative_drop(self):
         decision = monitoring_check(6.0, 7.0, 14.0, 3.0)

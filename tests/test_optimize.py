@@ -370,7 +370,15 @@ def test_gradient_matches_central_differences():
 
 
 @pytest.mark.parametrize(
-    "weights", [np.full(8, np.nan, dtype=complex), np.ones(8), np.ones(7) / np.sqrt(7)]
+    "weights",
+    [
+        np.full(8, np.nan, dtype=complex),
+        np.r_[np.inf, np.zeros(7)],
+        np.zeros(8),
+        np.ones(8),
+        np.ones(7) / np.sqrt(7),
+        np.ones((1, 8)) / np.sqrt(8),
+    ],
 )
 def test_gradient_rejects_the_weights_the_gain_rejects(weights):
     # all-NaN weights once passed the norm check and gave a NaN gradient

@@ -67,6 +67,22 @@ def test_non_finite_number_is_rejected_with_its_path(path, value):
 
 
 @pytest.mark.parametrize(
+    "path, named",
+    [
+        ("monitoring.relative_drop_threshold_db", "monitoring"),
+        ("estimation.grid_resolution_deg", "estimation"),
+        ("csi.num_snapshots", "csi.num_snapshots"),
+        ("trajectory.angle_bounds", "trajectory.angle_bounds"),
+    ],
+)
+def test_fixed_sensing_setting_is_rejected_with_its_path(path, named):
+    # these are constants now; a config that sets one is refused, not ignored
+    value = [5.0, 175.0] if path == "trajectory.angle_bounds" else 3
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(named)}: unknown"):
+        scenario_from_mapping(with_value(path, value))
+
+
+@pytest.mark.parametrize(
     "path, value",
     [
         ("optimizer.restarts", 1.5),
@@ -131,8 +147,8 @@ def test_unknown_optimizer_field_is_rejected_with_its_path(field, value):
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=["inf", "-inf", "nan", "1e400"])
-def test_non_finite_angle_is_rejected_with_its_index(value):
-    path = "trajectory.initial_angles"
+@pytest.mark.parametrize("path", ["trajectory.initial_angles"])
+def test_non_finite_angle_is_rejected_with_its_index(path, value):
     with pytest.raises(ConfigurationError, match=rf"^{re.escape(path)}\[1\]"):
         scenario_from_mapping(with_value(path, [60.0, value]))
 
