@@ -2,12 +2,13 @@
 
 DataCollection, ModelSelection, Training, Evaluation, Deployment and
 Monitoring each own one stage of the beamformer's life. They communicate
-through a Blackboard, and a deterministic supervisor routes between them:
-Monitoring watches the deployed movable-array beamformer against the best
-the fixed uniform array could do each step, and when performance degrades
-the whole collect/select/train/evaluate/deploy cycle reruns inside the
-same step, appending an auditable EvolutionEvent. run_episode drives the
-loop over a drifting user trajectory.
+through a Blackboard, and a deterministic supervisor routes between them.
+Every step starts at Monitoring, the one way into a cycle: it fires
+HardwareChange while no movable array is deployed, and otherwise watches
+the deployed beamformer against the best the fixed uniform array could do.
+A trigger runs the whole collect/select/train/evaluate/deploy cycle inside
+the same step, appending an auditable EvolutionEvent. run_episode drives
+the loop over a drifting user trajectory.
 """
 
 from __future__ import annotations
@@ -143,22 +144,6 @@ class MetricsRecord:
     trigger_reason: TriggerReason | None = None
 
 
-class AppendOnlyLog(list):
-    """History that only grows; written records cannot change."""
-
-    def _blocked(self, *args, **kwargs):
-        raise TypeError("history is append-only")
-
-    __setitem__ = _blocked
-    __delitem__ = _blocked
-    pop = _blocked
-    remove = _blocked
-    clear = _blocked
-    insert = _blocked
-    sort = _blocked
-    reverse = _blocked
-
-
 @dataclass
 class _PendingEvent:
     """Mutable scratchpad for the evolution cycle currently in flight."""
@@ -175,9 +160,11 @@ class _PendingEvent:
 class Blackboard:
     """Shared state the agents read and write.
 
-    metrics_history, event_log and abort_log only ever grow. Agents never
-    assign stage themselves; supervisor_next performs every transition and
-    the episode runner only seeds the starting stage of a step.
+    metrics_history, event_log and abort_log only ever grow: the only
+    writers are _append_step_record, _run_deployment and _abort_event, and
+    each appends. Agents never assign stage themselves; supervisor_next
+    performs every transition and the episode runner starts every step at
+    Monitoring.
     deployed_solution changes only inside the Deployment agent.
     true_angles are the step's actual directions: the sensing agents
     synthesize CSI from them, and the step's metrics are scored at them.
@@ -195,9 +182,9 @@ class Blackboard:
     last_deployed_gain_db: float | None = None
     pending_event: _PendingEvent | None = None
     consecutive_failures: int = 0
-    metrics_history: AppendOnlyLog = field(default_factory=AppendOnlyLog)
-    event_log: AppendOnlyLog = field(default_factory=AppendOnlyLog)
-    abort_log: AppendOnlyLog = field(default_factory=AppendOnlyLog)
+    metrics_history: list = field(default_factory=list)
+    event_log: list = field(default_factory=list)
+    abort_log: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -230,7 +217,7 @@ def monitoring_check(
         ("baseline_gain_db", baseline_gain_db),
         ("last_deployed_gain_db", last_deployed_gain_db),
     ):
-        if value != value or value == float("inf"):
+        if value is None or value != value or value == float("inf"):
             raise ValidationError(f"{name} must be finite or -inf, got {value}")
     if not relative_drop_threshold >= 0:
         raise ValidationError("relative_drop_threshold must be >= 0")
@@ -249,14 +236,16 @@ def agent_execute(role: AgentRole, blackboard: Blackboard, scenario: ScenarioCon
     """Run one agent against the blackboard and report what it changed.
 
     Domain failures (missing prerequisites, optimizer errors) come back as
-    fail reports, never exceptions; calling an agent whose turn it is not
-    raises ProtocolError.
+    fail reports, never exceptions. Calling an agent whose turn it is not,
+    or a role other than Monitoring outside an open cycle, raises
+    ProtocolError.
     """
     if blackboard.stage is not role:
         raise ProtocolError(f"agent {role.value} invoked while stage is {blackboard.stage}")
-    pending = blackboard.pending_event
-    if pending is not None and role is not AgentRole.MONITORING:
-        pending.agent_sequence.append(role)
+    if role is not AgentRole.MONITORING:
+        if blackboard.pending_event is None:
+            raise ProtocolError(f"agent {role.value} invoked outside an evolution cycle")
+        blackboard.pending_event.agent_sequence.append(role)
     try:
         return _HANDLERS[role](blackboard, scenario)
     except EvobeamError as exc:
@@ -311,11 +300,9 @@ def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
             nxt = AgentRole.DEPLOYMENT
         else:
             pending = blackboard.pending_event
-            rounds = pending.agent_sequence.count(AgentRole.TRAINING) if pending else 0
-            if pending is not None and rounds >= MAX_TRAINING_ROUNDS:
+            if pending.agent_sequence.count(AgentRole.TRAINING) >= MAX_TRAINING_ROUNDS:
                 pending.degraded = True
-                if pending.best_candidate is not None:
-                    blackboard.candidate_solution = pending.best_candidate
+                blackboard.candidate_solution = pending.best_candidate
                 nxt = AgentRole.DEPLOYMENT
             else:
                 nxt = AgentRole.TRAINING
@@ -417,16 +404,14 @@ def _run_training(blackboard, scenario):
     if blackboard.latest_estimate is None:
         return _missing(AgentRole.TRAINING, "latest_estimate")
     pending = blackboard.pending_event
-    attempt = pending.agent_sequence.count(AgentRole.TRAINING) - 1 if pending else 0
+    attempt = pending.agent_sequence.count(AgentRole.TRAINING) - 1
     config = replace(
         scenario.optimizer,
-        seed=_derive_seed(scenario.seed, _STREAM_OPTIMIZER, blackboard.step_index, max(attempt, 0)),
+        seed=_derive_seed(scenario.seed, _STREAM_OPTIMIZER, blackboard.step_index, attempt),
     )
     candidate = optimize_movable(blackboard.latest_estimate.angles, config, scenario.constraints)
     blackboard.candidate_solution = candidate
-    if pending is not None and (
-        pending.best_candidate is None or candidate.gain_db > pending.best_candidate.gain_db
-    ):
+    if pending.best_candidate is None or candidate.gain_db > pending.best_candidate.gain_db:
         pending.best_candidate = candidate
     return AgentReport(
         role=AgentRole.TRAINING,
@@ -447,9 +432,9 @@ def _run_evaluation(blackboard, scenario):
     baseline = fixed_baseline(blackboard.latest_estimate.angles, scenario.constraints)
     blackboard.baseline_solution = baseline
     floor = baseline.gain_db - GAIN_SLACK_DB
-    pending = blackboard.pending_event
-    if pending is not None and pending.pre_gain_db is not None:
-        floor = max(floor, pending.pre_gain_db - _PRE_GAIN_SLACK_DB)
+    pre_gain_db = blackboard.pending_event.pre_gain_db
+    if pre_gain_db is not None:
+        floor = max(floor, pre_gain_db - _PRE_GAIN_SLACK_DB)
     if candidate.gain_db >= floor:
         verdict = EvaluationVerdict(True)
         summary = "pass"
@@ -477,8 +462,7 @@ def _run_deployment(blackboard, scenario):
     if verdict is None:
         return _missing(AgentRole.DEPLOYMENT, "evaluation_verdict")
     pending = blackboard.pending_event
-    degraded = pending.degraded if pending is not None else False
-    if not verdict.passed and not degraded:
+    if not verdict.passed and not pending.degraded:
         return AgentReport(
             role=AgentRole.DEPLOYMENT,
             ok=False,
@@ -488,14 +472,10 @@ def _run_deployment(blackboard, scenario):
     candidate = blackboard.candidate_solution
     blackboard.deployed_solution = candidate
     blackboard.last_deployed_gain_db = float(candidate.gain_db)
-    if pending is not None:
-        baseline_db = (
-            blackboard.baseline_solution.gain_db
-            if blackboard.baseline_solution is not None
-            else float("nan")
-        )
-        pre = pending.pre_gain_db if pending.pre_gain_db is not None else baseline_db
-        event = EvolutionEvent(
+    baseline_db = blackboard.baseline_solution.gain_db
+    pre = pending.pre_gain_db if pending.pre_gain_db is not None else baseline_db
+    blackboard.event_log.append(
+        EvolutionEvent(
             trigger_step=pending.trigger_step,
             reason=pending.reason,
             pre_gain_db=float(pre),
@@ -503,10 +483,10 @@ def _run_deployment(blackboard, scenario):
             baseline_gain_db=float(baseline_db),
             agent_sequence=tuple(pending.agent_sequence),
             training_rounds=pending.agent_sequence.count(AgentRole.TRAINING),
-            degraded=degraded,
+            degraded=pending.degraded,
         )
-        blackboard.event_log.append(event)
-        blackboard.pending_event = None
+    )
+    blackboard.pending_event = None
     return AgentReport(
         role=AgentRole.DEPLOYMENT,
         ok=True,
@@ -516,16 +496,20 @@ def _run_deployment(blackboard, scenario):
 
 def _run_monitoring(blackboard, scenario):
     if blackboard.deployed_solution is None:
-        return _missing(AgentRole.MONITORING, "deployed_solution")
+        # the fixed array is still in place: upgrade it without sensing
+        blackboard.trigger_decision = TriggerDecision(True, TriggerReason.HARDWARE_CHANGE)
+        return AgentReport(
+            role=AgentRole.MONITORING,
+            ok=True,
+            message="no movable array deployed: trigger HardwareChange",
+        )
     if blackboard.true_angles is None:
         return _missing(AgentRole.MONITORING, "true_angles")
     deployed = blackboard.deployed_solution
     estimate = _sense(deployed.geometry, blackboard, scenario, _STREAM_MONITOR_CSI)
     deployed_db = _gain_db(deployed, estimate.angles)
     baseline = fixed_baseline(estimate.angles, scenario.constraints)
-    last = blackboard.last_deployed_gain_db
-    last = deployed_db if last is None else last
-    decision = monitoring_check(deployed_db, baseline.gain_db, last)
+    decision = monitoring_check(deployed_db, baseline.gain_db, blackboard.last_deployed_gain_db)
     blackboard.latest_estimate = estimate
     blackboard.baseline_solution = baseline
     blackboard.trigger_decision = decision
@@ -594,12 +578,12 @@ def _drive_cycle(blackboard, scenario, router):
 def run_episode(scenario: ScenarioConfig, router=None) -> EpisodeResult:
     """Run one monitored episode over the scenario's trajectory.
 
-    Step 0 upgrades the array from the fixed uniform layout to an
-    optimized movable one through a full agent cycle, logged as a
-    HardwareChange event. Every later step runs Monitoring; a trigger
-    reruns the full cycle within the same step, so the step's metrics
-    already show the recovered gain. All randomness derives from
-    scenario.seed.
+    Every step starts at Monitoring, and a trigger runs the full agent
+    cycle within the same step, so the step's metrics already show the
+    recovered gain. While no movable array is deployed (at step 0, or
+    after a failed upgrade) Monitoring fires HardwareChange, and the cycle
+    upgrades the fixed uniform layout to an optimized movable one. All
+    randomness derives from scenario.seed.
 
     Args:
         scenario: validated scenario.
@@ -622,20 +606,11 @@ def run_episode(scenario: ScenarioConfig, router=None) -> EpisodeResult:
         blackboard.step_index = step
         blackboard.true_angles = true_doas
         events_before = len(blackboard.event_log)
-        if step == 0:
-            blackboard.pending_event = _PendingEvent(
-                trigger_step=0, reason=TriggerReason.HARDWARE_CHANGE, pre_gain_db=None
-            )
-            blackboard.stage = AgentRole.DATA_COLLECTION
-            reason = TriggerReason.HARDWARE_CHANGE
-        else:
-            blackboard.stage = AgentRole.MONITORING
-            reason = None
+        blackboard.trigger_decision = None
+        blackboard.stage = AgentRole.MONITORING
         _drive_cycle(blackboard, scenario, router)
-        if step > 0:
-            decision = blackboard.trigger_decision
-            if decision is not None and decision.trigger:
-                reason = decision.reason
+        decision = blackboard.trigger_decision
+        reason = decision.reason if decision is not None else None
         evolved = len(blackboard.event_log) > events_before
         _append_step_record(blackboard, scenario, evolved=evolved, reason=reason)
     return EpisodeResult(

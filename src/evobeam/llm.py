@@ -80,17 +80,17 @@ def build_routing_prompt(blackboard, report, fallback_role) -> RoutingPrompt:
     decision = blackboard.trigger_decision
     if decision is None:
         trigger_line = "Trigger state: none."
-    elif decision.trigger:
-        trigger_line = (
-            f"Trigger state: fired, reason {decision.reason.value}, "
-            f"deployed {_fmt(decision.deployed_gain_db)} dB "
-            f"vs baseline {_fmt(decision.baseline_gain_db)} dB."
-        )
     else:
-        trigger_line = (
-            f"Trigger state: quiet, deployed {_fmt(decision.deployed_gain_db)} dB "
-            f"vs baseline {_fmt(decision.baseline_gain_db)} dB."
-        )
+        state = f"fired, reason {decision.reason.value}" if decision.trigger else "quiet"
+        if None in (decision.deployed_gain_db, decision.baseline_gain_db):
+            # a HardwareChange decision compares no gains
+            trigger_line = f"Trigger state: {state}."
+        else:
+            trigger_line = (
+                f"Trigger state: {state}, deployed {decision.deployed_gain_db:.4f} dB "
+                f"vs baseline {decision.baseline_gain_db:.4f} dB."
+            )
+    last_db = blackboard.last_deployed_gain_db
     message = report.message[:_MESSAGE_CLIP]
     text = "\n".join(
         [
@@ -98,16 +98,14 @@ def build_routing_prompt(blackboard, report, fallback_role) -> RoutingPrompt:
             f"Step index: {blackboard.step_index}.",
             f"Finished stage: {report.role.value}, status {status}: {message}",
             trigger_line,
-            f"Last deployed gain: {_fmt(blackboard.last_deployed_gain_db)} dB.",
+            "No movable array deployed yet."
+            if last_db is None
+            else f"Last deployed gain: {last_db:.4f} dB.",
             "The stages are: " + ", ".join(ROLE_NAMES) + f", {_IDLE_NAME}.",
             "Answer with exactly one stage name and nothing else.",
         ]
     )
     return RoutingPrompt(text=text, fallback_role=fallback_role)
-
-
-def _fmt(value):
-    return "unknown" if value is None else f"{value:.4f}"
 
 
 def parse_role_name(raw) -> object | None:

@@ -139,6 +139,9 @@ def read_events_json(path):
     """Returns (events, aborts) parsed back into their dataclasses."""
     with open(path, "r", encoding="utf-8") as fh:
         document = json.load(fh)
+    if not isinstance(document, dict):
+        kind = type(document).__name__
+        raise ValidationError(f"events document must be a JSON object, got {kind}")
     if document.get("schema_version") != EVENTS_SCHEMA_VERSION:
         raise ValidationError(
             f"unexpected events schema_version {document.get('schema_version')!r}"

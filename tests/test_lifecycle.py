@@ -14,7 +14,6 @@ from evobeam.lifecycle import (
     MAX_TRAINING_ROUNDS,
     AgentReport,
     AgentRole,
-    AppendOnlyLog,
     Blackboard,
     EvaluationVerdict,
     TriggerDecision,
@@ -58,14 +57,29 @@ def assert_valid_sequence(sequence):
 
 
 def make_pair(constraints=None, true_angles=THREE_USERS):
-    """A fresh blackboard at true_angles plus a scenario for direct agent calls."""
+    """A blackboard at true_angles with an open HardwareChange cycle, plus a
+    scenario, for direct agent calls."""
     trajectory = TrajectoryConfig(initial_angles=true_angles, num_steps=1)
     scenario = ScenarioConfig(
         trajectory=trajectory,
         constraints=constraints or ArrayConstraints(),
         optimizer=OptimizerConfig(restarts=4),
     )
-    return Blackboard(true_angles=true_angles), scenario
+    blackboard = Blackboard(true_angles=true_angles)
+    blackboard.pending_event = _PendingEvent(
+        trigger_step=0, reason=TriggerReason.HARDWARE_CHANGE, pre_gain_db=None
+    )
+    return blackboard, scenario
+
+
+def swing_scenario():
+    """Users hold for 10 steps, then swing by 40 degrees at step 10."""
+    before, after = (60.0, 85.0, 110.0), (100.0, 125.0, 150.0)
+    waypoints = tuple([before] * 10 + [after] * 5)
+    trajectory = TrajectoryConfig(
+        num_steps=15, initial_angles=DoASet(before), drift=ScriptedDrift(waypoints)
+    )
+    return ScenarioConfig(trajectory=trajectory, seed=11)
 
 
 def ok_report(role):
@@ -123,6 +137,8 @@ class TestMonitoringCheck:
             monitoring_check(float("nan"), 7.0, 7.0, 3.0)
         with pytest.raises(ValidationError):
             monitoring_check(7.0, float("inf"), 7.0, 3.0)
+        with pytest.raises(ValidationError, match="last_deployed_gain_db"):
+            monitoring_check(7.0, 7.0, None, 3.0)
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValidationError):
@@ -142,6 +158,18 @@ class TestAgents:
         blackboard.stage = AgentRole.MONITORING
         with pytest.raises(ProtocolError):
             agent_execute(AgentRole.TRAINING, blackboard, scenario)
+
+    @pytest.mark.parametrize(
+        "role",
+        [role for role in AgentRole if role is not AgentRole.MONITORING],
+        ids=lambda role: role.value,
+    )
+    def test_cycle_role_outside_a_cycle_is_a_protocol_error(self, role):
+        blackboard, scenario = make_pair()
+        blackboard.pending_event = None
+        blackboard.stage = role
+        with pytest.raises(ProtocolError, match="outside an evolution cycle"):
+            agent_execute(role, blackboard, scenario)
 
     def test_data_collection_writes_what_it_reports(self):
         blackboard, scenario = make_pair()
@@ -187,9 +215,6 @@ class TestAgents:
 
     def test_full_manual_cycle_deploys_a_dominating_solution(self):
         blackboard, scenario = make_pair()
-        blackboard.pending_event = _PendingEvent(
-            trigger_step=0, reason=TriggerReason.HARDWARE_CHANGE, pre_gain_db=None
-        )
         blackboard.stage = AgentRole.DATA_COLLECTION
         order = [
             AgentRole.DATA_COLLECTION,
@@ -260,18 +285,25 @@ class TestAgents:
         assert not report.ok
         assert blackboard.deployed_solution is None
 
-    def test_monitoring_requires_a_deployed_solution(self):
-        blackboard, scenario = make_pair()
-        blackboard.stage = AgentRole.MONITORING
+    def test_monitoring_without_a_deployed_array_fires_hardware_change(self):
+        _, scenario = make_pair()
+        blackboard = Blackboard(true_angles=THREE_USERS, stage=AgentRole.MONITORING)
         report = agent_execute(AgentRole.MONITORING, blackboard, scenario)
-        assert not report.ok
-        assert report.reason == "deployed_solution missing"
+        assert report.ok
+        assert blackboard.trigger_decision == TriggerDecision(True, TriggerReason.HARDWARE_CHANGE)
+        # the upgrade needs no sensing
+        assert blackboard.latest_estimate is None
+        assert blackboard.baseline_solution is None
+        assert supervisor_next(blackboard, report) is AgentRole.DATA_COLLECTION
+        assert blackboard.pending_event.reason is TriggerReason.HARDWARE_CHANGE
+        assert blackboard.pending_event.pre_gain_db is None
 
     def test_monitoring_appends_a_record_when_healthy(self):
         blackboard, scenario = make_pair()
         blackboard.deployed_solution = optimize_movable(
             THREE_USERS, scenario.optimizer, scenario.constraints
         )
+        blackboard.last_deployed_gain_db = blackboard.deployed_solution.gain_db
         blackboard.stage = AgentRole.MONITORING
         report = agent_execute(AgentRole.MONITORING, blackboard, scenario)
         assert report.ok
@@ -435,13 +467,7 @@ class TestEpisodes:
             assert record.movable_gain_db >= record.fixed_gain_db - 1e-9
 
     def test_scripted_swing_triggers_exactly_one_recovery(self):
-        before, after = (60.0, 85.0, 110.0), (100.0, 125.0, 150.0)
-        waypoints = tuple([before] * 10 + [after] * 5)
-        trajectory = TrajectoryConfig(
-            num_steps=15, initial_angles=DoASet(before), drift=ScriptedDrift(waypoints)
-        )
-        scenario = ScenarioConfig(trajectory=trajectory, seed=11)
-        result = run_episode(scenario)
+        result = run_episode(swing_scenario())
         assert len(result.metrics_history) == 15
         assert not result.abort_log
         degradations = [
@@ -518,6 +544,58 @@ class TestEpisodes:
         assert result.abort_log[0].failed_role is AgentRole.TRAINING
         assert result.abort_log[0].error == "solver offline"
         assert not result.metrics_history[0].evolved
+        # every step retries the upgrade, so Training fails at each one
+        assert [a.failed_role for a in result.abort_log] == [AgentRole.TRAINING] * 2
+        assert {a.reason for a in result.abort_log} == {TriggerReason.HARDWARE_CHANGE}
+
+    def test_failed_upgrade_is_retried_at_the_next_step(self, monkeypatch):
+        import evobeam.lifecycle as lifecycle
+
+        real_training = lifecycle._HANDLERS[AgentRole.TRAINING]
+
+        def training_down_at_step_0(blackboard, scenario):
+            if blackboard.step_index == 0:
+                return AgentReport(
+                    role=AgentRole.TRAINING, ok=False, message="down", reason="solver offline"
+                )
+            return real_training(blackboard, scenario)
+
+        monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.TRAINING, training_down_at_step_0)
+        result = run_episode(default_scenario(num_steps=3, seed=9))
+        assert [(a.trigger_step, a.failed_role) for a in result.abort_log] == [
+            (0, AgentRole.TRAINING)
+        ]
+        event = result.event_log[0]
+        assert (event.trigger_step, event.reason) == (1, TriggerReason.HARDWARE_CHANGE)
+        assert_valid_sequence(event.agent_sequence)
+        first, upgraded, _ = result.metrics_history
+        assert not first.evolved
+        assert first.movable_gain_db == first.fixed_gain_db
+        assert upgraded.evolved
+        assert upgraded.trigger_reason is TriggerReason.HARDWARE_CHANGE
+        assert upgraded.movable_gain_db >= upgraded.fixed_gain_db - 1e-9
+
+    def test_failed_monitoring_leaves_no_trigger_reason(self, monkeypatch):
+        import evobeam.lifecycle as lifecycle
+
+        real_monitoring = lifecycle._HANDLERS[AgentRole.MONITORING]
+
+        def monitoring_down_at_step_11(blackboard, scenario):
+            if blackboard.step_index == 11:
+                return AgentReport(
+                    role=AgentRole.MONITORING, ok=False, message="down", reason="sensor offline"
+                )
+            return real_monitoring(blackboard, scenario)
+
+        monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.MONITORING, monitoring_down_at_step_11)
+        result = run_episode(swing_scenario())
+        swing, failed = result.metrics_history[10:12]
+        assert swing.trigger_reason is TriggerReason.BELOW_BASELINE
+        assert [(a.trigger_step, a.failed_role) for a in result.abort_log] == [
+            (11, AgentRole.MONITORING)
+        ]
+        assert not failed.evolved
+        assert failed.trigger_reason is None
 
     def test_unpassable_evaluation_forces_a_degraded_deployment(self, monkeypatch):
         import evobeam.lifecycle as lifecycle
@@ -558,26 +636,3 @@ class TestEpisodes:
         assert plain.metrics_history == steered.metrics_history
         assert plain.event_log == steered.event_log
 
-
-class TestAppendOnlyLog:
-    def test_mutation_is_blocked(self):
-        log = AppendOnlyLog()
-        log.append(1)
-        log.extend([2, 3])
-        assert list(log) == [1, 2, 3]
-        with pytest.raises(TypeError):
-            log[0] = 9
-        with pytest.raises(TypeError):
-            del log[0]
-        with pytest.raises(TypeError):
-            log.pop()
-        with pytest.raises(TypeError):
-            log.remove(1)
-        with pytest.raises(TypeError):
-            log.clear()
-        with pytest.raises(TypeError):
-            log.insert(0, 9)
-        with pytest.raises(TypeError):
-            log.sort()
-        with pytest.raises(TypeError):
-            log.reverse()

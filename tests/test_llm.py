@@ -18,7 +18,9 @@ from evobeam.lifecycle import (
     Blackboard,
     TriggerDecision,
     TriggerReason,
+    agent_execute,
     run_episode,
+    supervisor_next,
 )
 from evobeam.llm import (
     EndpointConfig,
@@ -132,6 +134,14 @@ class TestPrompt:
         prompt = build_routing_prompt(blackboard, report, AgentRole.EVALUATION)
         assert len(prompt.text.encode()) <= 8192
         assert "\u00e9" * 500 in prompt.text
+
+    def test_upgrade_prompt_names_hardware_change_without_unknown_gains(self):
+        blackboard = Blackboard(stage=AgentRole.MONITORING)
+        report = agent_execute(AgentRole.MONITORING, blackboard, default_scenario())
+        fallback = supervisor_next(blackboard, report)
+        prompt = build_routing_prompt(blackboard, report, fallback)
+        assert "Trigger state: fired, reason HardwareChange." in prompt.text
+        assert "unknown" not in prompt.text
 
     def test_prompt_without_all_roles_is_rejected(self):
         with pytest.raises(ValidationError):

@@ -177,6 +177,13 @@ class TestEventsJson:
         with pytest.raises(ValidationError):
             read_events_json(path)
 
+    @pytest.mark.parametrize("document", ["[]", '"text"', "null"])
+    def test_document_that_is_not_an_object_is_rejected(self, tmp_path, document):
+        path = tmp_path / "events.json"
+        path.write_text(document)
+        with pytest.raises(ValidationError, match="must be a JSON object"):
+            read_events_json(path)
+
 
 class TestEpisodeSerialization:
     def test_full_episode_round_trips(self, tmp_path):
