@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +32,9 @@ MAX_ELEMENTS = 128
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Element positions of a linear array together with its constraints.
+
+    The direction estimator keeps its scan of the array on the instance
+    (estimation._scan), so the scan is freed with the geometry.
 
     Attributes:
         wavelength: carrier wavelength in meters.
@@ -107,7 +111,15 @@ class ArrayConstraints:
         )
 
     def uniform_geometry(self) -> ArrayGeometry:
-        """Array at the minimum spacing, centered on the origin."""
+        """Array at the minimum spacing, centered on the origin.
+
+        Built once per constraints instance and shared by every caller:
+        the fixed baseline asks for it at every Monitoring step.
+        """
+        return self._uniform_geometry
+
+    @cached_property
+    def _uniform_geometry(self) -> ArrayGeometry:
         n = self.num_elements
         offsets = (np.arange(n) - (n - 1) / 2) * self.min_spacing
         return self.geometry(offsets.tolist())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +42,35 @@ class DoaEstimate:
         object.__setattr__(self, "spectrum", spec)
 
 
+class _Scan(NamedTuple):
+    """The scan of one geometry: the grid, its N x G steering matrix and
+    that matrix's conjugate, all read-only."""
+
+    grid: np.ndarray
+    steering: np.ndarray
+    steering_conj: np.ndarray
+
+
+def _scan(geometry: ArrayGeometry) -> _Scan:
+    """The geometry's scan, built on its first estimate and kept on it.
+
+    The sensing geometry changes only at deployment, so an episode builds
+    one scan per deployed array. Kept on the instance, the scan is freed
+    with its geometry; a module-level cache would keep every array alive.
+    """
+    scan = getattr(geometry, "_scan", None)
+    if scan is None:
+        lo, hi = ANGLE_BOUNDS
+        count = int(np.floor((hi - lo) / GRID_RESOLUTION_DEG + 1e-9)) + 1
+        grid = lo + GRID_RESOLUTION_DEG * np.arange(count)
+        a = steering_matrix(geometry, grid)
+        scan = _Scan(grid, a, a.conj())
+        for array in scan:
+            array.setflags(write=False)
+        object.__setattr__(geometry, "_scan", scan)
+    return scan
+
+
 def sample_covariance(batch: CsiSnapshotBatch) -> np.ndarray:
     """Sample covariance (1/R) sum_r y_r y_r^H of a snapshot batch."""
     y = batch.snapshots
@@ -76,11 +106,8 @@ def estimate_doas(covariance, geometry: ArrayGeometry, num_sources: int) -> DoaE
             f"covariance is {cov.shape[0]}x{cov.shape[0]} but the array has {n} elements"
         )
 
-    lo, hi = ANGLE_BOUNDS
-    count = int(np.floor((hi - lo) / GRID_RESOLUTION_DEG + 1e-9)) + 1
-    grid = lo + GRID_RESOLUTION_DEG * np.arange(count)
-    a = steering_matrix(geometry, grid)
-    spectrum = np.real(np.einsum("ng,nm,mg->g", a.conj(), cov, a)) / n
+    grid, a, a_conj = _scan(geometry)
+    spectrum = np.real(np.einsum("ng,nm,mg->g", a_conj, cov, a)) / n
 
     peak_idx = _local_maxima(spectrum)
     order = sorted(peak_idx, key=lambda i: (-spectrum[i], grid[i]))
@@ -92,8 +119,9 @@ def estimate_doas(covariance, geometry: ArrayGeometry, num_sources: int) -> DoaE
             chosen.append(i)
     low_confidence = len(chosen) < num_sources
     if low_confidence:
+        taken = set(chosen)
         filler = sorted(
-            (i for i in range(len(grid)) if i not in set(chosen)),
+            (i for i in range(len(grid)) if i not in taken),
             key=lambda i: (-spectrum[i], grid[i]),
         )
         chosen.extend(filler[: num_sources - len(chosen)])

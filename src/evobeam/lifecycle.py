@@ -6,9 +6,15 @@ through a Blackboard, and a deterministic supervisor routes between them.
 Every step starts at Monitoring, the one way into a cycle: it fires
 HardwareChange while no movable array is deployed, and otherwise watches
 the deployed beamformer against the best the fixed uniform array could do.
-A trigger runs the whole collect/select/train/evaluate/deploy cycle inside
-the same step, appending an auditable EvolutionEvent. run_episode drives
-the loop over a drifting user trajectory.
+Per step, Monitoring synthesizes CSI, forms the covariance and scans
+it. Per deployment it builds the scan's grid and steering matrix once
+(the estimator keeps them on the deployed geometry), and the uniform
+layout is built once per constraints. Both gains it compares depend only
+on the estimated angles and the deployment, so a step whose estimate
+repeats the last one reuses the last comparison, which Deployment
+clears. A trigger runs the whole collect/select/train/evaluate/deploy
+cycle inside the same step, appending an auditable EvolutionEvent.
+run_episode drives the loop over a drifting user trajectory.
 """
 
 from __future__ import annotations
@@ -156,6 +162,17 @@ class _PendingEvent:
     best_candidate: BeamformingSolution | None = None
 
 
+@dataclass(frozen=True)
+class _Comparison:
+    """Monitoring's last comparison: at angles, the deployed solution
+    scored deployed_db and the fixed array's best was baseline."""
+
+    angles: DoASet
+    deployed: BeamformingSolution
+    deployed_db: float
+    baseline: BeamformingSolution
+
+
 @dataclass
 class Blackboard:
     """Shared state the agents read and write.
@@ -165,7 +182,9 @@ class Blackboard:
     each appends. Agents never assign stage themselves; supervisor_next
     performs every transition and the episode runner starts every step at
     Monitoring.
-    deployed_solution changes only inside the Deployment agent.
+    deployed_solution changes only inside the Deployment agent, which
+    also clears last_comparison; Monitoring overwrites that entry when
+    its estimate or the deployment differs from the entry's.
     true_angles are the step's actual directions: the sensing agents
     synthesize CSI from them, and the step's metrics are scored at them.
     """
@@ -180,6 +199,7 @@ class Blackboard:
     evaluation_verdict: EvaluationVerdict | None = None
     trigger_decision: TriggerDecision | None = None
     last_deployed_gain_db: float | None = None
+    last_comparison: _Comparison | None = None
     pending_event: _PendingEvent | None = None
     consecutive_failures: int = 0
     metrics_history: list = field(default_factory=list)
@@ -300,6 +320,8 @@ def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
             nxt = AgentRole.DEPLOYMENT
         else:
             pending = blackboard.pending_event
+            if pending is None:
+                raise ProtocolError("evaluation failed outside an evolution cycle")
             if pending.agent_sequence.count(AgentRole.TRAINING) >= MAX_TRAINING_ROUNDS:
                 pending.degraded = True
                 blackboard.candidate_solution = pending.best_candidate
@@ -471,6 +493,7 @@ def _run_deployment(blackboard, scenario):
         )
     candidate = blackboard.candidate_solution
     blackboard.deployed_solution = candidate
+    blackboard.last_comparison = None
     blackboard.last_deployed_gain_db = float(candidate.gain_db)
     baseline_db = blackboard.baseline_solution.gain_db
     pre = pending.pre_gain_db if pending.pre_gain_db is not None else baseline_db
@@ -507,8 +530,17 @@ def _run_monitoring(blackboard, scenario):
         return _missing(AgentRole.MONITORING, "true_angles")
     deployed = blackboard.deployed_solution
     estimate = _sense(deployed.geometry, blackboard, scenario, _STREAM_MONITOR_CSI)
-    deployed_db = _gain_db(deployed, estimate.angles)
-    baseline = fixed_baseline(estimate.angles, scenario.constraints)
+    angles = estimate.angles
+    last = blackboard.last_comparison
+    if last is None or last.deployed is not deployed or last.angles != angles:
+        last = _Comparison(
+            angles,
+            deployed,
+            _gain_db(deployed, angles),
+            fixed_baseline(angles, scenario.constraints),
+        )
+        blackboard.last_comparison = last
+    deployed_db, baseline = last.deployed_db, last.baseline
     decision = monitoring_check(deployed_db, baseline.gain_db, blackboard.last_deployed_gain_db)
     blackboard.latest_estimate = estimate
     blackboard.baseline_solution = baseline

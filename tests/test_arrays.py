@@ -69,6 +69,14 @@ def test_uniform_geometry_is_centered_at_min_spacing():
     assert_allclose(sum(g.positions), 0.0, atol=1e-15)
 
 
+def test_uniform_geometry_is_built_once_per_constraints():
+    c = ArrayConstraints()
+    assert c.uniform_geometry() is c.uniform_geometry()
+    other = ArrayConstraints()
+    assert other.uniform_geometry() is not c.uniform_geometry()
+    assert other.uniform_geometry() == c.uniform_geometry()
+
+
 def test_geometry_rejects_spacing_violation():
     with pytest.raises(ValidationError):
         small_geometry([0.0, 0.01])

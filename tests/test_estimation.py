@@ -1,11 +1,16 @@
 """Covariance estimation and Bartlett direction finding."""
 
+import gc
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from evobeam import estimation
 from evobeam.arrays import ArrayConstraints, DoASet, steering_vector
 from evobeam.channel import synthesize_csi
 from evobeam.errors import ValidationError
@@ -145,6 +150,81 @@ def test_noisy_two_source_accuracy_on_a_wide_array():
         errors.extend((np.asarray(est.angles.angles_deg) - pair).tolist())
     rmse = float(np.sqrt(np.mean(np.square(errors))))
     assert rmse <= 1.0
+
+
+# ---------------------------------------------------------------- scan reuse
+
+
+@st.composite
+def sensing_cases(draw):
+    """A feasible layout of 2-10 elements within the default envelope, with
+    gaps of min_spacing plus random shares of the slack, and a random
+    Hermitian positive definite covariance for it."""
+    n = draw(st.integers(2, 10))
+    c = ArrayConstraints(num_elements=n)
+    shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)))
+    shares += 1e-3
+    slack = 0.99 * (2 * c.position_bound - (n - 1) * c.min_spacing) * shares / shares.sum()
+    positions = -c.position_bound + np.cumsum(slack[:n] + np.r_[0.0, np.full(n - 1, c.min_spacing)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.normal(size=(n, 2 * n)) + 1j * rng.normal(size=(n, 2 * n))
+    cov = y @ y.conj().T / (2 * n) + 0.1 * np.eye(n)
+    return c.geometry(positions.tolist()), (cov + cov.conj().T) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(sensing_cases())
+def test_cached_scan_matches_a_per_angle_oracle(case):
+    geometry, cov = case
+    n = geometry.num_elements
+    estimate_doas(cov, geometry, 1)  # builds the scan
+    est = estimate_doas(cov, geometry, 1)
+    oracle = np.array(
+        [
+            np.real(steering_vector(geometry, t).conj() @ cov @ steering_vector(geometry, t)) / n
+            for t in est.grid_deg
+        ]
+    )
+    assert np.max(np.abs(est.spectrum - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sensing_cases(), sensing_cases())
+def test_interleaved_geometries_match_fresh_calls(first, second):
+    for geometry, cov in (first, second, first):
+        k = geometry.num_elements - 1
+        got = estimate_doas(cov, geometry, k)
+        # an equal layout in a new instance has no scan yet
+        fresh = estimate_doas(cov, replace(geometry), k)
+        assert got.angles == fresh.angles
+        assert np.array_equal(got.spectrum, fresh.spectrum)
+        assert got.peak_values == fresh.peak_values
+
+
+def test_scan_is_built_once_per_geometry_and_freed_with_it(monkeypatch):
+    built = []
+    real = estimation.steering_matrix
+
+    def counting(geometry, angles):
+        built.append(geometry)
+        return real(geometry, angles)
+
+    monkeypatch.setattr(estimation, "steering_matrix", counting)
+    cov = analytic_covariance(GEOMETRY, (70.0,))
+    geometry = ArrayConstraints().geometry(GEOMETRY.positions)
+    first = estimate_doas(cov, geometry, 1)
+    second = estimate_doas(cov, geometry, 1)
+    assert len(built) == 1
+    assert second.grid_deg is first.grid_deg
+    with pytest.raises(ValueError):
+        first.grid_deg[0] = 0.0
+    estimate_doas(cov, replace(geometry), 1)
+    assert len(built) == 2
+
+    alive = weakref.ref(geometry)
+    del geometry, built[:]
+    gc.collect()
+    assert alive() is None
 
 
 # ---------------------------------------------------------------- peak picking

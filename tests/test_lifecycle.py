@@ -324,6 +324,41 @@ class TestAgents:
         # the same deployment scored at the same static directions
         assert healthy.movable_gain_db == first.movable_gain_db
 
+    def test_monitoring_reuse_does_not_outlive_a_deployment(self, monkeypatch):
+        import evobeam.lifecycle as lifecycle
+
+        blackboard, scenario = make_pair()
+        old = fixed_baseline(THREE_USERS, scenario.constraints)
+        blackboard.deployed_solution = old
+        blackboard.last_deployed_gain_db = old.gain_db
+        blackboard.pending_event = None
+        blackboard.stage = AgentRole.MONITORING
+        assert agent_execute(AgentRole.MONITORING, blackboard, scenario).ok
+        pinned = blackboard.latest_estimate
+        before = pinned.angles
+        # every later scan returns this estimate, so the Monitoring step
+        # after the deployment repeats the angles of the one before it
+        monkeypatch.setattr(lifecycle, "estimate_doas", lambda cov, geometry, k: pinned)
+
+        # one cycle by hand deploys a new array
+        blackboard.pending_event = _PendingEvent(
+            trigger_step=0, reason=TriggerReason.BELOW_BASELINE, pre_gain_db=None
+        )
+        blackboard.stage = AgentRole.DATA_COLLECTION
+        for _ in range(5):
+            report = agent_execute(blackboard.stage, blackboard, scenario)
+            assert report.ok, report.reason
+            supervisor_next(blackboard, report)
+        assert blackboard.stage is IDLE
+        new = blackboard.deployed_solution
+        assert new is not old
+
+        blackboard.stage = AgentRole.MONITORING
+        assert agent_execute(AgentRole.MONITORING, blackboard, scenario).ok
+        expected = sum_beam_gain(new.geometry, new.weights, before).db
+        assert blackboard.trigger_decision.deployed_gain_db == expected
+        assert expected != sum_beam_gain(old.geometry, old.weights, before).db
+
 
 class TestSupervisorRouting:
     def test_monitoring_trigger_routes_to_data_collection(self):
@@ -367,6 +402,12 @@ class TestSupervisorRouting:
         blackboard, _ = make_pair()
         blackboard.stage = AgentRole.DEPLOYMENT
         assert supervisor_next(blackboard, ok_report(AgentRole.DEPLOYMENT)) is IDLE
+
+    def test_failed_verdict_outside_a_cycle_is_a_protocol_error(self):
+        blackboard = Blackboard(stage=AgentRole.EVALUATION)
+        blackboard.evaluation_verdict = EvaluationVerdict(False, reason="weak")
+        with pytest.raises(ProtocolError, match="outside an evolution cycle"):
+            supervisor_next(blackboard, ok_report(AgentRole.EVALUATION))
 
     def test_fail_report_retries_once_then_aborts(self):
         blackboard, _ = make_pair()
@@ -487,6 +528,21 @@ class TestEpisodes:
             TriggerReason.BELOW_BASELINE,
             TriggerReason.RELATIVE_DROP,
         )
+
+    def test_fixed_gain_matches_a_cold_baseline_at_every_step(self):
+        scenario = swing_scenario()
+        result = run_episode(scenario)
+        assert not result.abort_log
+        records = result.metrics_history
+        # both holds repeat estimates, where Monitoring reuses its comparison
+        repeats = [
+            b.step for a, b in zip(records, records[1:]) if a.estimated_angles == b.estimated_angles
+        ]
+        assert any(step < 10 for step in repeats) and any(step > 11 for step in repeats)
+        for record in records:
+            cold = fixed_baseline(DoASet(record.estimated_angles), scenario.constraints)
+            scored = sum_beam_gain(cold.geometry, cold.weights, DoASet(record.true_angles))
+            assert record.fixed_gain_db == scored.db
 
     def test_episode_is_deterministic(self):
         scenario = default_scenario(num_steps=6, seed=21)
