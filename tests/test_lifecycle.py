@@ -1,13 +1,17 @@
 """Agent cycle, supervisor routing, and full-episode behavior."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+import evobeam.lifecycle as lifecycle
 from evobeam.arrays import ArrayConstraints, DoASet, sum_beam_gain
-from evobeam.channel import RandomWalkDrift, ScriptedDrift, TrajectoryConfig
-from evobeam.errors import ProtocolError, ValidationError
+from evobeam.channel import RandomWalkDrift, ScriptedDrift, TrajectoryConfig, generate_trajectory
+from evobeam.errors import EvobeamError, ProtocolError, ValidationError
 from evobeam.lifecycle import (
     DEFAULT_RELATIVE_DROP_DB,
     IDLE,
@@ -19,7 +23,9 @@ from evobeam.lifecycle import (
     TriggerDecision,
     TriggerReason,
     _STREAM_OPTIMIZER,
+    _STREAM_TRAJECTORY,
     _PendingEvent,
+    _append_step_record,
     _derive_seed,
     agent_execute,
     monitoring_check,
@@ -54,6 +60,13 @@ def assert_valid_sequence(sequence):
     assert sequence[-1] is AgentRole.DEPLOYMENT
     for pair in zip(sequence, sequence[1:]):
         assert pair in LEGAL_PAIRS, f"illegal transition {pair}"
+
+
+def cold_fixed_gain_db(record, constraints):
+    """The fixed baseline at the record's estimate (at the true directions
+    before any estimate), scored at the true directions."""
+    cold = fixed_baseline(DoASet(record.estimated_angles or record.true_angles), constraints)
+    return sum_beam_gain(cold.geometry, cold.weights, DoASet(record.true_angles)).db
 
 
 def make_pair(constraints=None, true_angles=THREE_USERS):
@@ -325,8 +338,6 @@ class TestAgents:
         assert healthy.movable_gain_db == first.movable_gain_db
 
     def test_monitoring_reuse_does_not_outlive_a_deployment(self, monkeypatch):
-        import evobeam.lifecycle as lifecycle
-
         blackboard, scenario = make_pair()
         old = fixed_baseline(THREE_USERS, scenario.constraints)
         blackboard.deployed_solution = old
@@ -540,9 +551,7 @@ class TestEpisodes:
         ]
         assert any(step < 10 for step in repeats) and any(step > 11 for step in repeats)
         for record in records:
-            cold = fixed_baseline(DoASet(record.estimated_angles), scenario.constraints)
-            scored = sum_beam_gain(cold.geometry, cold.weights, DoASet(record.true_angles))
-            assert record.fixed_gain_db == scored.db
+            assert record.fixed_gain_db == cold_fixed_gain_db(record, scenario.constraints)
 
     def test_episode_is_deterministic(self):
         scenario = default_scenario(num_steps=6, seed=21)
@@ -579,8 +588,6 @@ class TestEpisodes:
             assert_valid_sequence(event.agent_sequence)
 
     def test_injected_training_failure_aborts_without_raising(self, monkeypatch):
-        import evobeam.lifecycle as lifecycle
-
         def broken_training(blackboard, scenario):
             return AgentReport(
                 role=AgentRole.TRAINING, ok=False, message="down", reason="solver offline"
@@ -605,8 +612,6 @@ class TestEpisodes:
         assert {a.reason for a in result.abort_log} == {TriggerReason.HARDWARE_CHANGE}
 
     def test_failed_upgrade_is_retried_at_the_next_step(self, monkeypatch):
-        import evobeam.lifecycle as lifecycle
-
         real_training = lifecycle._HANDLERS[AgentRole.TRAINING]
 
         def training_down_at_step_0(blackboard, scenario):
@@ -632,8 +637,6 @@ class TestEpisodes:
         assert upgraded.movable_gain_db >= upgraded.fixed_gain_db - 1e-9
 
     def test_failed_monitoring_leaves_no_trigger_reason(self, monkeypatch):
-        import evobeam.lifecycle as lifecycle
-
         real_monitoring = lifecycle._HANDLERS[AgentRole.MONITORING]
 
         def monitoring_down_at_step_11(blackboard, scenario):
@@ -654,15 +657,6 @@ class TestEpisodes:
         assert failed.trigger_reason is None
 
     def test_unpassable_evaluation_forces_a_degraded_deployment(self, monkeypatch):
-        import evobeam.lifecycle as lifecycle
-
-        real_evaluation = lifecycle._HANDLERS[AgentRole.EVALUATION]
-
-        def harsh_evaluation(blackboard, scenario):
-            report = real_evaluation(blackboard, scenario)
-            blackboard.evaluation_verdict = EvaluationVerdict(False, reason="never enough")
-            return report
-
         monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.EVALUATION, harsh_evaluation)
         trajectory = TrajectoryConfig(
             num_steps=1, initial_angles=THREE_USERS, drift=RandomWalkDrift(0.0)
@@ -692,3 +686,176 @@ class TestEpisodes:
         assert plain.metrics_history == steered.metrics_history
         assert plain.event_log == steered.event_log
 
+
+INJECTED = "injected failure"
+CYCLE_ROLES = [role for role in AgentRole if role is not AgentRole.MONITORING]
+MACHINE_RULES = 60
+REAL_EVALUATION = lifecycle._HANDLERS[AgentRole.EVALUATION]
+
+
+def injected_failure(blackboard, scenario):
+    raise EvobeamError(INJECTED)
+
+
+def harsh_evaluation(blackboard, scenario):
+    report = REAL_EVALUATION(blackboard, scenario)
+    blackboard.evaluation_verdict = EvaluationVerdict(False, reason="forced")
+    return report
+
+
+def logs(blackboard):
+    return (blackboard.metrics_history, blackboard.event_log, blackboard.abort_log)
+
+
+def snapshot(blackboard):
+    """Everything the blackboard holds, down to what its logs and pending
+    event hold, since those change in place."""
+    held = [getattr(blackboard, f.name) for f in fields(Blackboard)]
+    pending = blackboard.pending_event
+    if pending is not None:
+        held += [*vars(pending).values(), *pending.agent_sequence]
+    for log in logs(blackboard):
+        held += log
+    return held
+
+
+def assert_unchanged(before, blackboard):
+    after = snapshot(blackboard)
+    assert len(after) == len(before) and all(a is b for a, b in zip(before, after))
+
+
+class LifecycleMachine(RuleBasedStateMachine):
+    """Drives the lifecycle one transition at a time, as run_episode does,
+    with failures injected at any role and direct calls out of order.
+
+    The route alone guards each agent's inputs: every failure it sees must
+    be an injected one, so no agent ever reports a missing input and
+    Deployment never refuses what the supervisor sends it.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.blackboard = Blackboard()
+        self.logs = ((), (), ())
+        self.finished_steps = 0
+        self.step_open = False
+        self.events_before = 0
+        # while set, every Evaluation of the open cycle fails its verdict
+        self.harsh = False
+
+    @initialize(seed=st.integers(0, 2**16))
+    def choose_scenario(self, seed):
+        # 3 degrees of drift a step, so Monitoring fires recovery cycles
+        # within the few steps one example runs
+        trajectory = TrajectoryConfig(
+            initial_angles=THREE_USERS, num_steps=MACHINE_RULES, drift=RandomWalkDrift(3.0)
+        )
+        self.scenario = ScenarioConfig(
+            trajectory=trajectory, optimizer=OptimizerConfig(restarts=2), seed=seed
+        )
+        self.trajectory = generate_trajectory(
+            replace(trajectory, seed=_derive_seed(seed, _STREAM_TRAJECTORY, 0, 0))
+        )
+
+    @precondition(lambda self: self.blackboard.stage is IDLE and not self.step_open)
+    @rule()
+    def start_step(self):
+        """Start the next step as run_episode does."""
+        blackboard = self.blackboard
+        step = self.finished_steps
+        blackboard.step_index = step
+        blackboard.true_angles = self.trajectory[step]
+        self.events_before = len(blackboard.event_log)
+        blackboard.trigger_decision = None
+        blackboard.stage = AgentRole.MONITORING
+        self.step_open = True
+
+    @precondition(lambda self: self.blackboard.stage is not IDLE)
+    @rule(fails=st.booleans())
+    def run_stage(self, fails):
+        """Run the agent whose turn it is, failing it when drawn, and route."""
+        blackboard = self.blackboard
+        with pytest.MonkeyPatch.context() as patch:
+            if self.harsh:
+                patch.setitem(lifecycle._HANDLERS, AgentRole.EVALUATION, harsh_evaluation)
+            if fails:
+                patch.setitem(lifecycle._HANDLERS, blackboard.stage, injected_failure)
+            report = agent_execute(blackboard.stage, blackboard, self.scenario)
+        assert report.ok or report.reason == INJECTED, report
+        supervisor_next(blackboard, report)
+        if blackboard.pending_event is None:
+            self.harsh = False
+
+    @precondition(lambda self: self.blackboard.stage is AgentRole.EVALUATION and not self.harsh)
+    @rule()
+    def force_failed_verdicts(self):
+        """Fail every verdict left in this cycle, down the degraded path."""
+        self.harsh = True
+
+    @precondition(lambda self: self.blackboard.stage is IDLE and self.step_open)
+    @rule()
+    def finish_step(self):
+        """Append the step's record once the stage went idle, as run_episode does."""
+        blackboard = self.blackboard
+        decision = blackboard.trigger_decision
+        reason = decision.reason if decision is not None else None
+        evolved = len(blackboard.event_log) > self.events_before
+        _append_step_record(blackboard, self.scenario, evolved=evolved, reason=reason)
+        self.finished_steps += 1
+        self.step_open = False
+
+    @rule(data=st.data(), kind=st.sampled_from(["agent", "outside", "report"]))
+    def call_out_of_order(self, data, kind):
+        """An agent whose turn it is not, a cycle role outside a cycle (even
+        with the stage pointing at it), or a report that does not match the
+        stage: each raises ProtocolError and leaves the blackboard as it was."""
+        blackboard = self.blackboard
+        stage = blackboard.stage
+        if kind == "outside" and blackboard.pending_event is not None:
+            kind = "agent"  # inside a cycle there is no outside call to make
+        roles = CYCLE_ROLES if kind == "outside" else AgentRole
+        role = data.draw(st.sampled_from([r for r in roles if r is not stage]))
+        before = snapshot(blackboard)
+        if kind == "agent":
+            with pytest.raises(ProtocolError, match="invoked while stage is"):
+                agent_execute(role, blackboard, self.scenario)
+        elif kind == "outside":
+            blackboard.stage = role
+            with pytest.raises(ProtocolError, match="outside an evolution cycle"):
+                agent_execute(role, blackboard, self.scenario)
+            blackboard.stage = stage
+        else:
+            report = AgentReport(role=role, ok=data.draw(st.booleans()), message="out of turn")
+            with pytest.raises(ProtocolError, match="does not match stage"):
+                supervisor_next(blackboard, report)
+        assert_unchanged(before, blackboard)
+
+    @invariant()
+    def only_an_open_cycle_holds_a_pending_event(self):
+        blackboard = self.blackboard
+        outside = blackboard.stage is IDLE or blackboard.stage is AgentRole.MONITORING
+        assert (blackboard.pending_event is None) == outside
+
+    @invariant()
+    def logs_only_grow_by_appending(self):
+        current = logs(self.blackboard)
+        for old, log in zip(self.logs, current):
+            assert len(log) >= len(old)
+            assert all(a is b for a, b in zip(old, log))
+        self.logs = tuple(tuple(log) for log in current)
+
+    @invariant()
+    def each_finished_step_appends_one_record(self):
+        history = self.blackboard.metrics_history
+        assert [record.step for record in history] == list(range(self.finished_steps))
+
+    @invariant()
+    def every_event_follows_the_route(self):
+        for event in self.blackboard.event_log:
+            assert_valid_sequence(event.agent_sequence)
+
+
+TestLifecycleMachine = LifecycleMachine.TestCase
+TestLifecycleMachine.settings = settings(
+    max_examples=60, stateful_step_count=MACHINE_RULES, deadline=None
+)
