@@ -3,6 +3,9 @@
 DataCollection, ModelSelection, Training, Evaluation, Deployment and
 Monitoring each own one stage of the beamformer's life. They communicate
 through a Blackboard, and a deterministic supervisor routes between them.
+The route is the one precondition check: an agent runs only after the
+stages that write its inputs, so no agent re-checks them, and a call out
+of turn raises ProtocolError.
 Every step starts at Monitoring, the one way into a cycle: it fires
 HardwareChange while no movable array is deployed, and otherwise watches
 the deployed beamformer against the best the fixed uniform array could do.
@@ -177,6 +180,15 @@ class _Comparison:
 class Blackboard:
     """Shared state the agents read and write.
 
+    Each agent reads only what the stages before it on the route wrote.
+    Monitoring writes trigger_decision, which opens a cycle.
+    DataCollection writes latest_estimate and baseline_solution, the fixed
+    baseline at that estimate, for ModelSelection, Training and Evaluation.
+    Training writes candidate_solution for Evaluation, whose
+    evaluation_verdict the supervisor routes on, and Deployment reads the
+    candidate and the baseline. Monitoring also writes latest_estimate and
+    baseline_solution together, so a step's record scores the baseline of
+    the estimate it records.
     metrics_history, event_log and abort_log only ever grow: the only
     writers are _append_step_record, _run_deployment and _abort_event, and
     each appends. Agents never assign stage themselves; supervisor_next
@@ -255,10 +267,10 @@ def monitoring_check(
 def agent_execute(role: AgentRole, blackboard: Blackboard, scenario: ScenarioConfig) -> AgentReport:
     """Run one agent against the blackboard and report what it changed.
 
-    Domain failures (missing prerequisites, optimizer errors) come back as
-    fail reports, never exceptions. Calling an agent whose turn it is not,
-    or a role other than Monitoring outside an open cycle, raises
-    ProtocolError.
+    Domain failures (an error of the estimator or the optimizer) come back
+    as fail reports, never exceptions. Calling an agent whose turn it is
+    not, or a role other than Monitoring outside an open cycle, raises
+    ProtocolError; an agent called in turn finds its inputs written.
     """
     if blackboard.stage is not role:
         raise ProtocolError(f"agent {role.value} invoked while stage is {blackboard.stage}")
@@ -270,6 +282,15 @@ def agent_execute(role: AgentRole, blackboard: Blackboard, scenario: ScenarioCon
         return _HANDLERS[role](blackboard, scenario)
     except EvobeamError as exc:
         return AgentReport(role=role, ok=False, message=f"{role.value} failed", reason=str(exc))
+
+
+# where each role moves on success; Monitoring and Evaluation branch instead
+_FORWARD = {
+    AgentRole.DATA_COLLECTION: AgentRole.MODEL_SELECTION,
+    AgentRole.MODEL_SELECTION: AgentRole.TRAINING,
+    AgentRole.TRAINING: AgentRole.EVALUATION,
+    AgentRole.DEPLOYMENT: IDLE,
+}
 
 
 def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
@@ -306,32 +327,22 @@ def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
             nxt = AgentRole.DATA_COLLECTION
         else:
             nxt = IDLE
-    elif role is AgentRole.DATA_COLLECTION:
-        nxt = AgentRole.MODEL_SELECTION
-    elif role is AgentRole.MODEL_SELECTION:
-        nxt = AgentRole.TRAINING
-    elif role is AgentRole.TRAINING:
-        nxt = AgentRole.EVALUATION
     elif role is AgentRole.EVALUATION:
-        verdict = blackboard.evaluation_verdict
+        verdict, pending = blackboard.evaluation_verdict, blackboard.pending_event
         if verdict is None:
             raise ProtocolError("evaluation finished without a verdict")
         if verdict.passed:
             nxt = AgentRole.DEPLOYMENT
+        elif pending is None:
+            raise ProtocolError("evaluation failed outside an evolution cycle")
+        elif pending.agent_sequence.count(AgentRole.TRAINING) >= MAX_TRAINING_ROUNDS:
+            pending.degraded = True
+            blackboard.candidate_solution = pending.best_candidate
+            nxt = AgentRole.DEPLOYMENT
         else:
-            pending = blackboard.pending_event
-            if pending is None:
-                raise ProtocolError("evaluation failed outside an evolution cycle")
-            if pending.agent_sequence.count(AgentRole.TRAINING) >= MAX_TRAINING_ROUNDS:
-                pending.degraded = True
-                blackboard.candidate_solution = pending.best_candidate
-                nxt = AgentRole.DEPLOYMENT
-            else:
-                nxt = AgentRole.TRAINING
-    elif role is AgentRole.DEPLOYMENT:
-        nxt = IDLE
-    else:  # pragma: no cover - the enum is closed
-        raise ProtocolError(f"no route from {role}")
+            nxt = AgentRole.TRAINING
+    else:
+        nxt = _FORWARD[role]
     blackboard.stage = nxt
     return nxt
 
@@ -347,15 +358,6 @@ def _abort_event(blackboard, failed_role, error):
     )
     blackboard.abort_log.append(record)
     blackboard.pending_event = None
-
-
-def _missing(role, field_name):
-    return AgentReport(
-        role=role,
-        ok=False,
-        message=f"{role.value} prerequisites absent",
-        reason=f"{field_name} missing",
-    )
 
 
 def _sensing_geometry(blackboard, scenario):
@@ -392,11 +394,10 @@ def _sense(geometry, blackboard, scenario, stream):
 
 
 def _run_data_collection(blackboard, scenario):
-    if blackboard.true_angles is None:
-        return _missing(AgentRole.DATA_COLLECTION, "true_angles")
     geometry = _sensing_geometry(blackboard, scenario)
     estimate = _sense(geometry, blackboard, scenario, _STREAM_COLLECT_CSI)
     blackboard.latest_estimate = estimate
+    blackboard.baseline_solution = fixed_baseline(estimate.angles, scenario.constraints)
     return AgentReport(
         role=AgentRole.DATA_COLLECTION,
         ok=True,
@@ -408,8 +409,6 @@ def _run_data_collection(blackboard, scenario):
 
 
 def _run_model_selection(blackboard, scenario):
-    if blackboard.latest_estimate is None:
-        return _missing(AgentRole.MODEL_SELECTION, "latest_estimate")
     k = len(blackboard.latest_estimate.angles)
     n = scenario.constraints.num_elements
     return AgentReport(
@@ -423,8 +422,6 @@ def _run_model_selection(blackboard, scenario):
 
 
 def _run_training(blackboard, scenario):
-    if blackboard.latest_estimate is None:
-        return _missing(AgentRole.TRAINING, "latest_estimate")
     pending = blackboard.pending_event
     attempt = pending.agent_sequence.count(AgentRole.TRAINING) - 1
     config = replace(
@@ -446,13 +443,7 @@ def _run_training(blackboard, scenario):
 
 
 def _run_evaluation(blackboard, scenario):
-    if blackboard.candidate_solution is None:
-        return _missing(AgentRole.EVALUATION, "candidate_solution")
-    if blackboard.latest_estimate is None:
-        return _missing(AgentRole.EVALUATION, "latest_estimate")
-    candidate = blackboard.candidate_solution
-    baseline = fixed_baseline(blackboard.latest_estimate.angles, scenario.constraints)
-    blackboard.baseline_solution = baseline
+    candidate, baseline = blackboard.candidate_solution, blackboard.baseline_solution
     floor = baseline.gain_db - GAIN_SLACK_DB
     pre_gain_db = blackboard.pending_event.pre_gain_db
     if pre_gain_db is not None:
@@ -478,20 +469,7 @@ def _run_evaluation(blackboard, scenario):
 
 
 def _run_deployment(blackboard, scenario):
-    if blackboard.candidate_solution is None:
-        return _missing(AgentRole.DEPLOYMENT, "candidate_solution")
-    verdict = blackboard.evaluation_verdict
-    if verdict is None:
-        return _missing(AgentRole.DEPLOYMENT, "evaluation_verdict")
-    pending = blackboard.pending_event
-    if not verdict.passed and not pending.degraded:
-        return AgentReport(
-            role=AgentRole.DEPLOYMENT,
-            ok=False,
-            message="Deployment refused",
-            reason="evaluation verdict is fail",
-        )
-    candidate = blackboard.candidate_solution
+    pending, candidate = blackboard.pending_event, blackboard.candidate_solution
     blackboard.deployed_solution = candidate
     blackboard.last_comparison = None
     blackboard.last_deployed_gain_db = float(candidate.gain_db)
@@ -526,8 +504,6 @@ def _run_monitoring(blackboard, scenario):
             ok=True,
             message="no movable array deployed: trigger HardwareChange",
         )
-    if blackboard.true_angles is None:
-        return _missing(AgentRole.MONITORING, "true_angles")
     deployed = blackboard.deployed_solution
     estimate = _sense(deployed.geometry, blackboard, scenario, _STREAM_MONITOR_CSI)
     angles = estimate.angles

@@ -3,10 +3,14 @@
 import re
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import evobeam
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10; the test extra installs tomli there
+    import tomli as tomllib
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -38,6 +42,8 @@ def test_runtime_dependencies_are_numpy_and_pyyaml():
 def test_test_extra_names_pytest_and_hypothesis():
     test_extra = load_project()["optional-dependencies"]["test"]
     assert {"pytest", "hypothesis"} <= dependency_names(test_extra)
+    # this file reads pyproject.toml, and tomllib arrived in Python 3.11
+    assert 'tomli; python_version < "3.11"' in test_extra
 
 
 def test_cli_import_loads_no_third_party_http_client():
