@@ -19,7 +19,8 @@ from .errors import ConfigurationError, ValidationError, check_count, check_posi
 # Linear gains below this floor are reported as -inf dB.
 GAIN_FLOOR = 1e-300
 
-# Slack used when validating geometry against its own constraints.
+# Slack used when validating geometry against its own constraints, per
+# meter of position bound above 1 m, since rounding grows with the positions.
 _GEOMETRY_SLACK = 1e-12
 
 # every element adds a row to each steering matrix, a row and a column to
@@ -53,13 +54,14 @@ class ArrayGeometry:
         object.__setattr__(self, "positions", pos)
         # checks the wavelength, spacing and bound, and that the elements fit
         c = ArrayConstraints(self.wavelength, len(pos), self.min_spacing, self.position_bound)
+        slack = _GEOMETRY_SLACK * max(1.0, c.position_bound)
         for p in pos:
             if not math.isfinite(p):
                 raise ValidationError("positions must be finite")
-            if abs(p) > c.position_bound + _GEOMETRY_SLACK:
+            if abs(p) > c.position_bound + slack:
                 raise ValidationError(f"position {p} outside +-{c.position_bound}")
         for a, b in zip(pos, pos[1:]):
-            if b - a < c.min_spacing - _GEOMETRY_SLACK:
+            if b - a < c.min_spacing - slack:
                 raise ValidationError(
                     f"adjacent spacing {b - a} below minimum {c.min_spacing}"
                 )
@@ -216,9 +218,14 @@ def sum_beam_gain(geometry: ArrayGeometry, weights, doas: DoASet) -> BeamGain:
     s = steering_matrix(geometry, doas.angles_deg)
     responses = w.conj() @ s
     linear = float(np.sum(np.abs(responses) ** 2))
+    return BeamGain(linear, to_db(linear))
+
+
+def to_db(linear: float) -> float:
+    """10 log10 of a linear gain, -inf below GAIN_FLOOR."""
     if linear < GAIN_FLOOR:
-        return BeamGain(linear, float("-inf"))
-    return BeamGain(linear, 10.0 * math.log10(linear))
+        return float("-inf")
+    return 10.0 * math.log10(linear)
 
 
 def check_weights(weights, num_elements: int) -> np.ndarray:

@@ -3,9 +3,11 @@
 DataCollection, ModelSelection, Training, Evaluation, Deployment and
 Monitoring each own one stage of the beamformer's life. They communicate
 through a Blackboard, and a deterministic supervisor routes between them.
-The route is the one precondition check: an agent runs only after the
-stages that write its inputs, so no agent re-checks them, and a call out
-of turn raises ProtocolError.
+Each agent returns its one-line summary and fails only by raising;
+agent_execute turns either outcome into the AgentReport the supervisor
+routes on. The route is the one precondition check: an agent runs only
+after the stages that write its inputs, so no agent re-checks them, and a
+call out of turn raises ProtocolError.
 Every step starts at Monitoring, the one way into a cycle: it fires
 HardwareChange while no movable array is deployed, and otherwise watches
 the deployed beamformer against the best the fixed uniform array could do.
@@ -14,9 +16,10 @@ it. Per deployment it builds the scan's grid and steering matrix once
 (the estimator keeps them on the deployed geometry), and the uniform
 layout is built once per constraints. Both gains it compares depend only
 on the estimated angles and the deployment, so a step whose estimate
-repeats the last one reuses the last comparison, which Deployment
-clears. A trigger runs the whole collect/select/train/evaluate/deploy
-cycle inside the same step, appending an auditable EvolutionEvent.
+and deployment repeat the last one's reuses the last comparison; only
+Monitoring reads or writes that cache. A trigger runs the whole
+collect/select/train/evaluate/deploy cycle inside the same step,
+appending an auditable EvolutionEvent.
 run_episode drives the loop over a drifting user trajectory.
 """
 
@@ -100,19 +103,16 @@ class TriggerDecision:
 
 
 @dataclass(frozen=True)
-class EvaluationVerdict:
-    passed: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
 class AgentReport:
-    """What one agent run did: status and a summary line."""
+    """What one agent run did: whether it raised, and its summary line.
+
+    On success message is the line the agent returned; on failure it is
+    the error's text.
+    """
 
     role: AgentRole
     ok: bool
     message: str
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ class Blackboard:
     DataCollection writes latest_estimate and baseline_solution, the fixed
     baseline at that estimate, for ModelSelection, Training and Evaluation.
     Training writes candidate_solution for Evaluation, whose
-    evaluation_verdict the supervisor routes on, and Deployment reads the
+    evaluation_passed the supervisor routes on, and Deployment reads the
     candidate and the baseline. Monitoring also writes latest_estimate and
     baseline_solution together, so a step's record scores the baseline of
     the estimate it records.
@@ -194,9 +194,10 @@ class Blackboard:
     each appends. Agents never assign stage themselves; supervisor_next
     performs every transition and the episode runner starts every step at
     Monitoring.
-    deployed_solution changes only inside the Deployment agent, which
-    also clears last_comparison; Monitoring overwrites that entry when
-    its estimate or the deployment differs from the entry's.
+    deployed_solution changes only inside the Deployment agent.
+    last_comparison is Monitoring's own cache: only Monitoring reads or
+    writes it, and it replaces the entry when its estimate or the
+    deployment differs from the entry's.
     true_angles are the step's actual directions: the sensing agents
     synthesize CSI from them, and the step's metrics are scored at them.
     """
@@ -208,7 +209,7 @@ class Blackboard:
     baseline_solution: BeamformingSolution | None = None
     latest_estimate: DoaEstimate | None = None
     candidate_solution: BeamformingSolution | None = None
-    evaluation_verdict: EvaluationVerdict | None = None
+    evaluation_passed: bool | None = None
     trigger_decision: TriggerDecision | None = None
     last_deployed_gain_db: float | None = None
     last_comparison: _Comparison | None = None
@@ -265,12 +266,16 @@ def monitoring_check(
 
 
 def agent_execute(role: AgentRole, blackboard: Blackboard, scenario: ScenarioConfig) -> AgentReport:
-    """Run one agent against the blackboard and report what it changed.
+    """Run one agent against the blackboard and report what it did.
 
-    Domain failures (an error of the estimator or the optimizer) come back
-    as fail reports, never exceptions. Calling an agent whose turn it is
-    not, or a role other than Monitoring outside an open cycle, raises
-    ProtocolError; an agent called in turn finds its inputs written.
+    This is the one place a report is built. An agent returns its summary
+    line, which becomes the report's message. An agent fails only by
+    raising, and a domain failure (an EvobeamError of the estimator or the
+    optimizer) comes back as a failed report whose message is the error's
+    text, or "<Role> failed" when that is empty; it never escapes. Calling
+    an agent whose turn it is not, or a role other than Monitoring outside
+    an open cycle, raises ProtocolError; an agent called in turn finds its
+    inputs written.
     """
     if blackboard.stage is not role:
         raise ProtocolError(f"agent {role.value} invoked while stage is {blackboard.stage}")
@@ -279,9 +284,9 @@ def agent_execute(role: AgentRole, blackboard: Blackboard, scenario: ScenarioCon
             raise ProtocolError(f"agent {role.value} invoked outside an evolution cycle")
         blackboard.pending_event.agent_sequence.append(role)
     try:
-        return _HANDLERS[role](blackboard, scenario)
+        return AgentReport(role, True, _HANDLERS[role](blackboard, scenario))
     except EvobeamError as exc:
-        return AgentReport(role=role, ok=False, message=f"{role.value} failed", reason=str(exc))
+        return AgentReport(role, False, str(exc) or f"{role.value} failed")
 
 
 # where each role moves on success; Monitoring and Evaluation branch instead
@@ -308,7 +313,7 @@ def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
         raise ProtocolError(f"report from {role} does not match stage {stage}")
     if not last_report.ok:
         if blackboard.consecutive_failures >= 1:
-            _abort_event(blackboard, role, last_report.reason or last_report.message)
+            _abort_event(blackboard, role, last_report.message)
             blackboard.consecutive_failures = 0
             blackboard.stage = IDLE
             return IDLE
@@ -328,10 +333,10 @@ def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
         else:
             nxt = IDLE
     elif role is AgentRole.EVALUATION:
-        verdict, pending = blackboard.evaluation_verdict, blackboard.pending_event
-        if verdict is None:
+        passed, pending = blackboard.evaluation_passed, blackboard.pending_event
+        if passed is None:
             raise ProtocolError("evaluation finished without a verdict")
-        if verdict.passed:
+        if passed:
             nxt = AgentRole.DEPLOYMENT
         elif pending is None:
             raise ProtocolError("evaluation failed outside an evolution cycle")
@@ -360,13 +365,6 @@ def _abort_event(blackboard, failed_role, error):
     blackboard.pending_event = None
 
 
-def _sensing_geometry(blackboard, scenario):
-    """The array the receiver currently has: deployed, or uniform before any."""
-    if blackboard.deployed_solution is not None:
-        return blackboard.deployed_solution.geometry
-    return scenario.constraints.uniform_geometry()
-
-
 def _gain_db(solution, doas):
     return sum_beam_gain(solution.geometry, solution.weights, doas).db
 
@@ -393,31 +391,29 @@ def _sense(geometry, blackboard, scenario, stream):
     )
 
 
+# Each handler runs one agent on the blackboard and returns its summary
+# line; it fails only by raising.
+
+
 def _run_data_collection(blackboard, scenario):
-    geometry = _sensing_geometry(blackboard, scenario)
+    deployed = blackboard.deployed_solution
+    # sense on the array the receiver has: deployed, or uniform before any
+    geometry = scenario.constraints.uniform_geometry() if deployed is None else deployed.geometry
     estimate = _sense(geometry, blackboard, scenario, _STREAM_COLLECT_CSI)
     blackboard.latest_estimate = estimate
     blackboard.baseline_solution = fixed_baseline(estimate.angles, scenario.constraints)
-    return AgentReport(
-        role=AgentRole.DATA_COLLECTION,
-        ok=True,
-        message=(
-            f"collected {DEFAULT_SNAPSHOTS} snapshots, "
-            f"estimated directions {_format_angles(estimate.angles.angles_deg)}"
-        ),
+    return (
+        f"collected {DEFAULT_SNAPSHOTS} snapshots, "
+        f"estimated directions {_format_angles(estimate.angles.angles_deg)}"
     )
 
 
 def _run_model_selection(blackboard, scenario):
     k = len(blackboard.latest_estimate.angles)
     n = scenario.constraints.num_elements
-    return AgentReport(
-        role=AgentRole.MODEL_SELECTION,
-        ok=True,
-        message=(
-            f"problem size {k}x{n}, gradient search with {scenario.optimizer.restarts} restarts "
-            f"of up to {MAX_OUTER_ITERATIONS} iterations"
-        ),
+    return (
+        f"problem size {k}x{n}, gradient search with {scenario.optimizer.restarts} restarts "
+        f"of up to {MAX_OUTER_ITERATIONS} iterations"
     )
 
 
@@ -432,13 +428,9 @@ def _run_training(blackboard, scenario):
     blackboard.candidate_solution = candidate
     if pending.best_candidate is None or candidate.gain_db > pending.best_candidate.gain_db:
         pending.best_candidate = candidate
-    return AgentReport(
-        role=AgentRole.TRAINING,
-        ok=True,
-        message=(
-            f"optimized positions and weights, gain {candidate.gain_db:.4f} dB "
-            f"in {candidate.iterations} iterations"
-        ),
+    return (
+        f"optimized positions and weights, gain {candidate.gain_db:.4f} dB "
+        f"in {candidate.iterations} iterations"
     )
 
 
@@ -448,30 +440,21 @@ def _run_evaluation(blackboard, scenario):
     pre_gain_db = blackboard.pending_event.pre_gain_db
     if pre_gain_db is not None:
         floor = max(floor, pre_gain_db - _PRE_GAIN_SLACK_DB)
-    if candidate.gain_db >= floor:
-        verdict = EvaluationVerdict(True)
+    passed = candidate.gain_db >= floor
+    blackboard.evaluation_passed = passed
+    if passed:
         summary = "pass"
     else:
-        verdict = EvaluationVerdict(
-            False,
-            reason=f"candidate {candidate.gain_db:.4f} dB under required {floor:.4f} dB",
-        )
-        summary = f"fail ({verdict.reason})"
-    blackboard.evaluation_verdict = verdict
-    return AgentReport(
-        role=AgentRole.EVALUATION,
-        ok=True,
-        message=(
-            f"candidate {candidate.gain_db:.4f} dB vs baseline {baseline.gain_db:.4f} dB: "
-            f"{summary}; converged={candidate.converged}, iterations={candidate.iterations}"
-        ),
+        summary = f"fail (candidate {candidate.gain_db:.4f} dB under required {floor:.4f} dB)"
+    return (
+        f"candidate {candidate.gain_db:.4f} dB vs baseline {baseline.gain_db:.4f} dB: "
+        f"{summary}; converged={candidate.converged}, iterations={candidate.iterations}"
     )
 
 
 def _run_deployment(blackboard, scenario):
     pending, candidate = blackboard.pending_event, blackboard.candidate_solution
     blackboard.deployed_solution = candidate
-    blackboard.last_comparison = None
     blackboard.last_deployed_gain_db = float(candidate.gain_db)
     baseline_db = blackboard.baseline_solution.gain_db
     pre = pending.pre_gain_db if pending.pre_gain_db is not None else baseline_db
@@ -488,22 +471,14 @@ def _run_deployment(blackboard, scenario):
         )
     )
     blackboard.pending_event = None
-    return AgentReport(
-        role=AgentRole.DEPLOYMENT,
-        ok=True,
-        message=f"deployed candidate at {candidate.gain_db:.4f} dB",
-    )
+    return f"deployed candidate at {candidate.gain_db:.4f} dB"
 
 
 def _run_monitoring(blackboard, scenario):
     if blackboard.deployed_solution is None:
         # the fixed array is still in place: upgrade it without sensing
         blackboard.trigger_decision = TriggerDecision(True, TriggerReason.HARDWARE_CHANGE)
-        return AgentReport(
-            role=AgentRole.MONITORING,
-            ok=True,
-            message="no movable array deployed: trigger HardwareChange",
-        )
+        return "no movable array deployed: trigger HardwareChange"
     deployed = blackboard.deployed_solution
     estimate = _sense(deployed.geometry, blackboard, scenario, _STREAM_MONITOR_CSI)
     angles = estimate.angles
@@ -523,13 +498,7 @@ def _run_monitoring(blackboard, scenario):
     blackboard.trigger_decision = decision
     blackboard.last_deployed_gain_db = decision.deployed_gain_db
     state = f"trigger {decision.reason.value}" if decision.trigger else "healthy"
-    return AgentReport(
-        role=AgentRole.MONITORING,
-        ok=True,
-        message=(
-            f"deployed {deployed_db:.4f} dB vs baseline {baseline.gain_db:.4f} dB: {state}"
-        ),
-    )
+    return f"deployed {deployed_db:.4f} dB vs baseline {baseline.gain_db:.4f} dB: {state}"
 
 
 _HANDLERS = {

@@ -1,12 +1,15 @@
 """Optional LLM cross-check of supervisor routing via a chat-completions endpoint.
 
 The endpoint is asked, once per transition, which stage should run next.
-Its answer is accepted only when it parses to exactly one role name and
-agrees with the deterministic route; every other outcome (parse failure,
-transport error, timeout, redirect, disagreement) falls back to the
-deterministic supervisor. The router only observes: the episode always
-follows the deterministic route, so it never depends on the network, and
-the decisions record how often the endpoint agreed.
+The question is plain text built from the blackboard and the finished
+agent's report: its status and summary line, clipped, and a fixed line
+listing every stage. The answer is accepted only when it parses to
+exactly one role name and agrees with the deterministic route, which the
+router passes in as the fallback; every other outcome (parse failure,
+transport error, timeout, redirect, disagreement) falls back to it. The
+router only observes: the episode always follows the deterministic route,
+so it never depends on the network, and the decisions record how often
+the endpoint agreed.
 
 The endpoint is described by scenario.EndpointConfig, the class the
 scenario's llm section builds; EndpointConfig.from_settings fills in the
@@ -23,16 +26,16 @@ import re
 import urllib.request
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .lifecycle import IDLE, ROLE_NAMES, AgentRole
 from .scenario import EndpointConfig
 
 log = logging.getLogger(__name__)
 
-MAX_PROMPT_BYTES = 8192
+# a failed agent's message is str(exc), which has no length bound
 _MESSAGE_CLIP = 500
 
 _IDLE_NAME = "Idle"
+_STAGES_LINE = "The stages are: " + ", ".join(ROLE_NAMES) + f", {_IDLE_NAME}."
 _NAME_LOOKUP = {name.lower(): AgentRole(name) for name in ROLE_NAMES}
 _NAME_LOOKUP[_IDLE_NAME.lower()] = IDLE
 
@@ -51,21 +54,6 @@ def _opener():
 
 
 @dataclass(frozen=True)
-class RoutingPrompt:
-    """One routing question plus the deterministic answer to fall back on."""
-
-    text: str
-    fallback_role: object
-
-    def __post_init__(self):
-        if len(self.text.encode("utf-8")) > MAX_PROMPT_BYTES:
-            raise ValidationError(f"prompt exceeds {MAX_PROMPT_BYTES} bytes")
-        for name in ROLE_NAMES:
-            if name not in self.text:
-                raise ValidationError(f"prompt must list every role; {name} is absent")
-
-
-@dataclass(frozen=True)
 class RoutingDecision:
     """The stage to run next and where the answer came from."""
 
@@ -74,9 +62,10 @@ class RoutingDecision:
     raw_response: str = ""
 
 
-def build_routing_prompt(blackboard, report, fallback_role) -> RoutingPrompt:
-    """Summarize the blackboard into a single routing question."""
-    status = "ok" if report.ok else f"fail ({report.reason[:_MESSAGE_CLIP]})"
+def build_routing_prompt(blackboard, report) -> str:
+    """Summarize the blackboard and the finished agent's report into one
+    routing question."""
+    status = "ok" if report.ok else "fail"
     decision = blackboard.trigger_decision
     if decision is None:
         trigger_line = "Trigger state: none."
@@ -92,7 +81,7 @@ def build_routing_prompt(blackboard, report, fallback_role) -> RoutingPrompt:
             )
     last_db = blackboard.last_deployed_gain_db
     message = report.message[:_MESSAGE_CLIP]
-    text = "\n".join(
+    return "\n".join(
         [
             "You route stages of a self-maintaining beamforming loop.",
             f"Step index: {blackboard.step_index}.",
@@ -101,11 +90,10 @@ def build_routing_prompt(blackboard, report, fallback_role) -> RoutingPrompt:
             "No movable array deployed yet."
             if last_db is None
             else f"Last deployed gain: {last_db:.4f} dB.",
-            "The stages are: " + ", ".join(ROLE_NAMES) + f", {_IDLE_NAME}.",
+            _STAGES_LINE,
             "Answer with exactly one stage name and nothing else.",
         ]
     )
-    return RoutingPrompt(text=text, fallback_role=fallback_role)
 
 
 def parse_role_name(raw) -> object | None:
@@ -116,25 +104,25 @@ def parse_role_name(raw) -> object | None:
     return _NAME_LOOKUP.get(cleaned.lower())
 
 
-def decide_next_agent(prompt: RoutingPrompt, config: EndpointConfig) -> RoutingDecision:
+def decide_next_agent(prompt: str, fallback_role, config: EndpointConfig) -> RoutingDecision:
     """Ask the endpoint for the next stage, falling back deterministically.
 
-    The fallback role in the prompt is the deterministic supervisor result
-    and therefore the only legal transition; an answer is used as-is only
-    when it matches it. No failure mode escapes as an exception.
+    fallback_role is the deterministic supervisor result and therefore the
+    only legal transition; an answer is used as-is only when it matches
+    it. No failure mode escapes as an exception.
     """
-    raw = _post_chat(prompt.text, config)
+    raw = _post_chat(prompt, config)
     if raw is None:
-        return RoutingDecision(role=prompt.fallback_role, source="fallback")
+        return RoutingDecision(role=fallback_role, source="fallback")
     parsed = parse_role_name(raw)
     if parsed is None:
         log.warning("unparseable routing response %r; using fallback", raw[:80])
-        return RoutingDecision(role=prompt.fallback_role, source="fallback", raw_response=raw)
-    if parsed is not prompt.fallback_role:
+        return RoutingDecision(role=fallback_role, source="fallback", raw_response=raw)
+    if parsed is not fallback_role:
         log.warning(
             "routing response %r is not a legal transition here; using fallback", raw[:80]
         )
-        return RoutingDecision(role=prompt.fallback_role, source="fallback", raw_response=raw)
+        return RoutingDecision(role=fallback_role, source="fallback", raw_response=raw)
     return RoutingDecision(role=parsed, source="llm", raw_response=raw)
 
 
@@ -182,8 +170,8 @@ def make_router(config: EndpointConfig, decision_log=None):
     """
 
     def router(blackboard, report, fallback_role):
-        prompt = build_routing_prompt(blackboard, report, fallback_role)
-        decision = decide_next_agent(prompt, config)
+        prompt = build_routing_prompt(blackboard, report)
+        decision = decide_next_agent(prompt, fallback_role, config)
         if decision_log is not None:
             decision_log.append(decision)
 

@@ -9,7 +9,6 @@ dominant eigenvalue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ from .arrays import (
     stacked_steering,
     steering_matrix,
     sum_beam_gain,
+    to_db,
 )
 from .errors import ValidationError, check_count
 
@@ -216,7 +216,7 @@ def optimize_movable(
     x[1:] = project_positions(x[1:], constraints)
 
     obj = _lambda_max(_gram(stacked_steering(x, alpha)))
-    histories = [[_to_db(v)] for v in obj]
+    histories = [[to_db(v)] for v in obj]
     iterations = np.zeros(config.restarts, dtype=int)
     converged = np.zeros(config.restarts, dtype=bool)
     active = np.arange(config.restarts)
@@ -228,7 +228,7 @@ def optimize_movable(
         iterations[active] = iteration
         for restart, value in zip(active, obj_active):
             history = histories[restart]
-            history.append(_to_db(value))
+            history.append(to_db(value))
             converged[restart] = history[-1] - history[-2] < GAIN_TOLERANCE_DB
         active = active[~converged[active]]
         if active.size == 0:
@@ -306,9 +306,3 @@ def _gradient(s, w, alpha):
     """position_gradient for stacked steering matrices (..., N, K) and weights (..., N)."""
     g = np.einsum("...n,...nk->...k", w.conj(), s)
     return 2.0 * (w.conj() * np.einsum("...nk,...k->...n", s, 1j * alpha * g.conj())).real
-
-
-def _to_db(linear: float) -> float:
-    if linear < 1e-300:
-        return float("-inf")
-    return 10.0 * math.log10(linear)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from evobeam.arrays import (
     ArrayConstraints,
     ArrayGeometry,
+    GAIN_FLOOR,
     DoASet,
     MAX_ELEMENTS,
     check_hermitian,
@@ -17,6 +18,7 @@ from evobeam.arrays import (
     steering_matrix,
     steering_vector,
     sum_beam_gain,
+    to_db,
 )
 from evobeam.errors import ConfigurationError, ValidationError
 
@@ -240,6 +242,13 @@ def test_orthogonal_weights_give_zero_gain_without_raising():
     assert gain.linear <= 1e-20
     # deep nulls stay representable: either -inf sentinel or a finite dB value
     assert gain.db < -100.0
+
+
+def test_to_db_is_minus_inf_exactly_below_the_gain_floor():
+    assert to_db(100.0) == 20.0
+    assert to_db(GAIN_FLOOR) == 10.0 * math.log10(GAIN_FLOOR)
+    assert to_db(GAIN_FLOOR / 2) == float("-inf")
+    assert to_db(0.0) == float("-inf")
 
 
 def test_sum_beam_gain_rejects_non_unit_weights():

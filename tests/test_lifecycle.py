@@ -19,7 +19,6 @@ from evobeam.lifecycle import (
     AgentReport,
     AgentRole,
     Blackboard,
-    EvaluationVerdict,
     TriggerDecision,
     TriggerReason,
     _STREAM_OPTIMIZER,
@@ -99,8 +98,8 @@ def ok_report(role):
     return AgentReport(role=role, ok=True, message="ok")
 
 
-def fail_report(role, reason="boom"):
-    return AgentReport(role=role, ok=False, message="failed", reason=reason)
+def fail_report(role, message="boom"):
+    return AgentReport(role=role, ok=False, message=message)
 
 
 class TestMonitoringCheck:
@@ -177,6 +176,33 @@ class TestAgents:
         with pytest.raises(ProtocolError, match="outside an evolution cycle"):
             agent_execute(role, blackboard, scenario)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        # an empty error text falls back to "<Role> failed"
+        [("no signal", "no signal"), ("", "{} failed")],
+        ids=["error-text", "empty-error"],
+    )
+    @pytest.mark.parametrize("role", list(AgentRole), ids=lambda role: role.value)
+    def test_a_raising_agent_reports_its_error_and_aborts_with_it(
+        self, monkeypatch, role, text, message
+    ):
+        message = message.format(role.value)
+
+        def raising(blackboard, scenario):
+            raise EvobeamError(text)
+
+        monkeypatch.setitem(lifecycle._HANDLERS, role, raising)
+        blackboard, scenario = make_pair()
+        if role is AgentRole.MONITORING:
+            blackboard.pending_event = None
+        blackboard.stage = role
+        for nxt in (role, IDLE):
+            report = agent_execute(role, blackboard, scenario)
+            assert report == AgentReport(role=role, ok=False, message=message)
+            assert supervisor_next(blackboard, report) is nxt
+        (record,) = blackboard.abort_log
+        assert (record.failed_role, record.error) == (role, message)
+
     def test_data_collection_writes_what_it_reports(self):
         blackboard, scenario = make_pair()
         blackboard.stage = AgentRole.DATA_COLLECTION
@@ -231,7 +257,7 @@ class TestAgents:
         ]
         for role in order:
             report = agent_execute(role, blackboard, scenario)
-            assert report.ok, report.reason
+            assert report.ok, report.message
             supervisor_next(blackboard, report)
         assert blackboard.stage is IDLE
         assert blackboard.deployed_solution is not None
@@ -260,9 +286,9 @@ class TestAgents:
         blackboard.stage = AgentRole.EVALUATION
         report = agent_execute(AgentRole.EVALUATION, blackboard, scenario)
         assert report.ok
-        assert blackboard.evaluation_verdict is not None
-        assert not blackboard.evaluation_verdict.passed
-        assert "dB" in blackboard.evaluation_verdict.reason
+        assert blackboard.evaluation_passed is False
+        assert "fail (candidate" in report.message
+        assert "dB under required" in report.message
 
     def test_evaluation_enforces_the_pre_trigger_gain_floor(self):
         blackboard, scenario = make_pair()
@@ -279,7 +305,7 @@ class TestAgents:
         blackboard.stage = AgentRole.EVALUATION
         report = agent_execute(AgentRole.EVALUATION, blackboard, scenario)
         assert report.ok
-        assert not blackboard.evaluation_verdict.passed
+        assert blackboard.evaluation_passed is False
 
     def test_monitoring_without_a_deployed_array_fires_hardware_change(self):
         _, scenario = make_pair()
@@ -341,7 +367,7 @@ class TestAgents:
         blackboard.stage = AgentRole.DATA_COLLECTION
         for _ in range(5):
             report = agent_execute(blackboard.stage, blackboard, scenario)
-            assert report.ok, report.reason
+            assert report.ok, report.message
             supervisor_next(blackboard, report)
         assert blackboard.stage is IDLE
         new = blackboard.deployed_solution
@@ -383,13 +409,13 @@ class TestSupervisorRouting:
     def test_evaluation_pass_routes_to_deployment(self):
         blackboard, _ = make_pair()
         blackboard.stage = AgentRole.EVALUATION
-        blackboard.evaluation_verdict = EvaluationVerdict(True)
+        blackboard.evaluation_passed = True
         assert supervisor_next(blackboard, ok_report(AgentRole.EVALUATION)) is AgentRole.DEPLOYMENT
 
     def test_evaluation_fail_routes_back_to_training(self):
         blackboard, _ = make_pair()
         blackboard.stage = AgentRole.EVALUATION
-        blackboard.evaluation_verdict = EvaluationVerdict(False, reason="weak")
+        blackboard.evaluation_passed = False
         assert supervisor_next(blackboard, ok_report(AgentRole.EVALUATION)) is AgentRole.TRAINING
 
     def test_deployment_ok_goes_idle(self):
@@ -399,7 +425,7 @@ class TestSupervisorRouting:
 
     def test_failed_verdict_outside_a_cycle_is_a_protocol_error(self):
         blackboard = Blackboard(stage=AgentRole.EVALUATION)
-        blackboard.evaluation_verdict = EvaluationVerdict(False, reason="weak")
+        blackboard.evaluation_passed = False
         with pytest.raises(ProtocolError, match="outside an evolution cycle"):
             supervisor_next(blackboard, ok_report(AgentRole.EVALUATION))
 
@@ -452,7 +478,7 @@ class TestSupervisorRouting:
         pending.best_candidate = best
         blackboard.pending_event = pending
         blackboard.stage = AgentRole.EVALUATION
-        blackboard.evaluation_verdict = EvaluationVerdict(False, reason="weak")
+        blackboard.evaluation_passed = False
         nxt = supervisor_next(blackboard, ok_report(AgentRole.EVALUATION))
         assert nxt is AgentRole.DEPLOYMENT
         assert pending.degraded
@@ -572,9 +598,7 @@ class TestEpisodes:
 
     def test_injected_training_failure_aborts_without_raising(self, monkeypatch):
         def broken_training(blackboard, scenario):
-            return AgentReport(
-                role=AgentRole.TRAINING, ok=False, message="down", reason="solver offline"
-            )
+            raise EvobeamError("solver offline")
 
         monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.TRAINING, broken_training)
         trajectory = TrajectoryConfig(
@@ -599,9 +623,7 @@ class TestEpisodes:
 
         def training_down_at_step_0(blackboard, scenario):
             if blackboard.step_index == 0:
-                return AgentReport(
-                    role=AgentRole.TRAINING, ok=False, message="down", reason="solver offline"
-                )
+                raise EvobeamError("solver offline")
             return real_training(blackboard, scenario)
 
         monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.TRAINING, training_down_at_step_0)
@@ -641,9 +663,7 @@ class TestEpisodes:
 
         def monitoring_down_at_step_11(blackboard, scenario):
             if blackboard.step_index == 11:
-                return AgentReport(
-                    role=AgentRole.MONITORING, ok=False, message="down", reason="sensor offline"
-                )
+                raise EvobeamError("sensor offline")
             return real_monitoring(blackboard, scenario)
 
         monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.MONITORING, monitoring_down_at_step_11)
@@ -698,9 +718,9 @@ def injected_failure(blackboard, scenario):
 
 
 def harsh_evaluation(blackboard, scenario):
-    report = REAL_EVALUATION(blackboard, scenario)
-    blackboard.evaluation_verdict = EvaluationVerdict(False, reason="forced")
-    return report
+    line = REAL_EVALUATION(blackboard, scenario)
+    blackboard.evaluation_passed = False
+    return line
 
 
 def logs(blackboard):
@@ -781,7 +801,7 @@ class LifecycleMachine(RuleBasedStateMachine):
             if fails:
                 patch.setitem(lifecycle._HANDLERS, blackboard.stage, injected_failure)
             report = agent_execute(blackboard.stage, blackboard, self.scenario)
-        assert report.ok or report.reason == INJECTED, report
+        assert report.ok or report.message == INJECTED, report
         supervisor_next(blackboard, report)
         if blackboard.pending_event is None:
             self.harsh = False

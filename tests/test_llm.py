@@ -9,8 +9,9 @@ from dataclasses import replace
 import pytest
 from conftest import SENTINEL_KEY, MockEndpoint
 
+import evobeam.lifecycle as lifecycle
 from evobeam import scenario
-from evobeam.errors import ConfigurationError, ValidationError
+from evobeam.errors import ConfigurationError, EvobeamError, ValidationError
 from evobeam.lifecycle import (
     IDLE,
     AgentReport,
@@ -24,7 +25,6 @@ from evobeam.lifecycle import (
 )
 from evobeam.llm import (
     EndpointConfig,
-    RoutingPrompt,
     build_routing_prompt,
     decide_next_agent,
     make_router,
@@ -43,7 +43,7 @@ def make_config(url, timeout_s=5.0, max_retries=0):
     )
 
 
-def triggered_prompt(fallback=AgentRole.DATA_COLLECTION):
+def triggered_prompt():
     blackboard = Blackboard()
     blackboard.step_index = 7
     blackboard.stage = AgentRole.MONITORING
@@ -53,7 +53,12 @@ def triggered_prompt(fallback=AgentRole.DATA_COLLECTION):
     report = AgentReport(
         role=AgentRole.MONITORING, ok=True, message="deployed below baseline"
     )
-    return build_routing_prompt(blackboard, report, fallback)
+    return build_routing_prompt(blackboard, report)
+
+
+def decide(config, fallback=AgentRole.DATA_COLLECTION):
+    """Route the triggered prompt, where the deterministic answer is fallback."""
+    return decide_next_agent(triggered_prompt(), fallback, config)
 
 
 def dead_url():
@@ -118,65 +123,63 @@ class TestPrompt:
             "Deployment",
             "Monitoring",
         ):
-            assert name in prompt.text
-        assert "Idle" in prompt.text
-        assert len(prompt.text.encode()) <= 8192
-        assert "3.9847" in prompt.text
-        assert "7.8169" in prompt.text
+            assert name in prompt
+        assert "Idle" in prompt
+        assert len(prompt.encode()) <= 8192
+        assert "3.9847" in prompt
+        assert "7.8169" in prompt
 
-    @pytest.mark.parametrize("field", ["message", "reason"])
-    def test_long_report_messages_are_clipped(self, field):
-        # a failed agent's reason is str(exc), which has no length bound
-        blackboard = Blackboard()
-        blackboard.stage = AgentRole.TRAINING
-        texts = {"message": "", "reason": "", field: "\u00e9" * 100000}
-        report = AgentReport(role=AgentRole.TRAINING, ok=False, **texts)
-        prompt = build_routing_prompt(blackboard, report, AgentRole.EVALUATION)
-        assert len(prompt.text.encode()) <= 8192
-        assert "\u00e9" * 500 in prompt.text
+    @pytest.mark.parametrize("field", ["message"])
+    def test_long_report_messages_are_clipped(self, monkeypatch, field):
+        # a failed agent's message is str(exc), which has no length bound
+        def raising(blackboard, scenario):
+            raise EvobeamError("\u00e9" * 100000)
+
+        monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.MONITORING, raising)
+        blackboard = Blackboard(stage=AgentRole.MONITORING)
+        report = agent_execute(AgentRole.MONITORING, blackboard, default_scenario())
+        prompt = build_routing_prompt(blackboard, report)
+        assert len(prompt.encode()) <= 8192
+        assert "status fail: " + "\u00e9" * 500 + "\n" in prompt
 
     def test_upgrade_prompt_names_hardware_change_without_unknown_gains(self):
         blackboard = Blackboard(stage=AgentRole.MONITORING)
         report = agent_execute(AgentRole.MONITORING, blackboard, default_scenario())
-        fallback = supervisor_next(blackboard, report)
-        prompt = build_routing_prompt(blackboard, report, fallback)
-        assert "Trigger state: fired, reason HardwareChange." in prompt.text
-        assert "unknown" not in prompt.text
-
-    def test_prompt_without_all_roles_is_rejected(self):
-        with pytest.raises(ValidationError):
-            RoutingPrompt(text="pick DataCollection or Training", fallback_role=IDLE)
+        supervisor_next(blackboard, report)
+        prompt = build_routing_prompt(blackboard, report)
+        assert "Trigger state: fired, reason HardwareChange." in prompt
+        assert "unknown" not in prompt
 
 
 class TestDecide:
     def test_legal_answer_is_accepted_from_the_llm(self, endpoint):
         endpoint.reply_content("DataCollection")
-        decision = decide_next_agent(triggered_prompt(), make_config(endpoint.url))
+        decision = decide(make_config(endpoint.url))
         assert decision.role is AgentRole.DATA_COLLECTION
         assert decision.source == "llm"
         assert decision.raw_response == "DataCollection"
 
     def test_decorated_legal_answer_is_accepted(self, endpoint):
         endpoint.reply_content(" datacollection.\n")
-        decision = decide_next_agent(triggered_prompt(), make_config(endpoint.url))
+        decision = decide(make_config(endpoint.url))
         assert decision.role is AgentRole.DATA_COLLECTION
         assert decision.source == "llm"
 
     def test_garbage_answer_falls_back(self, endpoint):
         endpoint.reply_content("I think you should probably retrain the model")
-        decision = decide_next_agent(triggered_prompt(), make_config(endpoint.url))
+        decision = decide(make_config(endpoint.url))
         assert decision.role is AgentRole.DATA_COLLECTION
         assert decision.source == "fallback"
 
     def test_illegal_transition_falls_back(self, endpoint):
         endpoint.reply_content("Deployment")
-        decision = decide_next_agent(triggered_prompt(), make_config(endpoint.url))
+        decision = decide(make_config(endpoint.url))
         assert decision.role is AgentRole.DATA_COLLECTION
         assert decision.source == "fallback"
 
     def test_idle_fallback_accepts_idle(self, endpoint):
         endpoint.reply_content("Idle.")
-        decision = decide_next_agent(triggered_prompt(fallback=IDLE), make_config(endpoint.url))
+        decision = decide(make_config(endpoint.url), fallback=IDLE)
         assert decision.role is IDLE
         assert decision.source == "llm"
 
@@ -185,23 +188,23 @@ class TestDecide:
         endpoint.reply_script((200, b"{}", 2.0))
         config = make_config(endpoint.url, timeout_s=0.2, max_retries=0)
         start = time.time()
-        decision = decide_next_agent(triggered_prompt(), config)
+        decision = decide(config)
         assert time.time() - start < 1.5
         assert decision.source == "fallback"
         assert decision.role is AgentRole.DATA_COLLECTION
 
     def test_http_error_falls_back(self, endpoint):
         endpoint.reply_script((500, b"busted", 0.0))
-        decision = decide_next_agent(triggered_prompt(), make_config(endpoint.url))
+        decision = decide(make_config(endpoint.url))
         assert decision.source == "fallback"
 
     def test_non_json_body_falls_back(self, endpoint):
         endpoint.reply_script((200, b"not json at all", 0.0))
-        decision = decide_next_agent(triggered_prompt(), make_config(endpoint.url))
+        decision = decide(make_config(endpoint.url))
         assert decision.source == "fallback"
 
     def test_unreachable_endpoint_falls_back(self):
-        decision = decide_next_agent(triggered_prompt(), make_config(dead_url()))
+        decision = decide(make_config(dead_url()))
         assert decision.source == "fallback"
         assert decision.role is AgentRole.DATA_COLLECTION
 
@@ -213,7 +216,7 @@ class TestDecide:
             location = {"Location": target.url + "/chat/completions"}
             endpoint.reply_script((status, b"{}", 0.0, location))
             config = make_config(endpoint.url, max_retries=1)
-            decision = decide_next_agent(triggered_prompt(), config)
+            decision = decide(config)
             assert decision.source == "fallback"
             assert decision.role is AgentRole.DATA_COLLECTION
             assert len(endpoint.seen) == 2  # each attempt failed at the first server
@@ -226,20 +229,20 @@ class TestDecide:
         (tmp_path / "chat").mkdir()
         reply = {"choices": [{"message": {"content": "DataCollection"}}]}
         (tmp_path / "chat" / "completions").write_text(json.dumps(reply))
-        decision = decide_next_agent(triggered_prompt(), make_config(f"file://{tmp_path}"))
+        decision = decide(make_config(f"file://{tmp_path}"))
         assert decision.source == "fallback"
 
     def test_retry_recovers_from_one_failure(self, endpoint):
         good = json.dumps({"choices": [{"message": {"content": "DataCollection"}}]}).encode()
         endpoint.reply_script((500, b"flaky", 0.0), (200, good, 0.0))
         config = make_config(endpoint.url, max_retries=2)
-        decision = decide_next_agent(triggered_prompt(), config)
+        decision = decide(config)
         assert decision.source == "llm"
         assert len(endpoint.seen) == 2
 
     def test_request_shape(self, endpoint):
         endpoint.reply_content("DataCollection")
-        decide_next_agent(triggered_prompt(), make_config(endpoint.url))
+        decide(make_config(endpoint.url))
         request = endpoint.seen[0]
         assert request["path"].endswith("/chat/completions")
         assert request["authorization"] == f"Bearer {SENTINEL_KEY}"
@@ -259,8 +262,8 @@ class TestSecrecy:
     def test_prompt_and_decisions_never_carry_the_key(self, endpoint):
         endpoint.reply_content("DataCollection")
         prompt = triggered_prompt()
-        assert SENTINEL_KEY not in prompt.text
-        decision = decide_next_agent(prompt, make_config(endpoint.url))
+        assert SENTINEL_KEY not in prompt
+        decision = decide_next_agent(prompt, AgentRole.DATA_COLLECTION, make_config(endpoint.url))
         assert SENTINEL_KEY not in repr(decision)
 
     def test_from_settings_reads_the_environment(self, monkeypatch):
@@ -288,8 +291,8 @@ class TestEpisodeParity:
 
         def echo_router(blackboard, report, fallback_role):
             endpoint.reply_content(str(getattr(fallback_role, "value", fallback_role)))
-            prompt = build_routing_prompt(blackboard, report, fallback_role)
-            decision = decide_next_agent(prompt, make_config(endpoint.url))
+            prompt = build_routing_prompt(blackboard, report)
+            decision = decide_next_agent(prompt, fallback_role, make_config(endpoint.url))
             assert decision.source == "llm"
             return decision.role
 

@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evobeam import optimize
 from evobeam.arrays import (
+    MAX_ELEMENTS,
     ArrayConstraints,
     DoASet,
     gain_matrix,
@@ -312,6 +313,48 @@ def test_stacked_projection_equals_row_by_row(case):
     assert np.array_equal(
         project_positions(stack.reshape(2, -1, n), constraints), singles.reshape(2, -1, n)
     )
+
+
+# found by a random search: its uniform layout and projected layouts missed
+# the geometry's own check by a picometer of rounding under an absolute slack
+KILOMETRE_SCALE = ArrayConstraints(
+    wavelength=1000.0,
+    num_elements=20,
+    min_spacing=894.9676749357525,
+    position_bound=8502.19376210894,
+)
+
+
+@st.composite
+def envelopes_and_layouts(draw):
+    """Any constraints that construct, from a tight fit to loose, at scales
+    from micrometers to a thousand kilometers, plus arbitrary positions."""
+    n = draw(st.integers(1, MAX_ELEMENTS))
+    d = draw(st.floats(1e-6, 1e6))
+    extra = draw(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)))
+    try:
+        constraints = ArrayConstraints(
+            wavelength=draw(st.floats(1e-3, 1e3)),
+            num_elements=n,
+            min_spacing=d,
+            position_bound=((n - 1) * d + extra) / 2,
+        )
+    except (ConfigurationError, ValidationError):
+        assume(False)
+    b = constraints.position_bound
+    values = st.floats(-3 * b, 3 * b, allow_nan=False)
+    return constraints, draw(st.lists(values, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@example((KILOMETRE_SCALE, [0.0] * KILOMETRE_SCALE.num_elements))
+@given(envelopes_and_layouts())
+def test_every_constructible_envelope_admits_its_own_layouts(case):
+    # rounding in the positions grows with the array; the layouts the code
+    # builds must still pass the geometry's own check at any scale
+    constraints, x = case
+    constraints.uniform_geometry()
+    constraints.geometry(project_positions(x, constraints))
 
 
 def test_projection_with_infeasible_constraints_raises():
