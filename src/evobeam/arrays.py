@@ -181,12 +181,7 @@ def steering_vector(geometry: ArrayGeometry, angle_deg: float) -> np.ndarray:
 def steering_matrix(geometry: ArrayGeometry, angles_deg) -> np.ndarray:
     """Stacked steering vectors, one column per direction (N x K)."""
     alpha = spatial_frequencies(geometry.wavelength, angles_deg)
-    return stacked_steering(np.asarray(geometry.positions, dtype=float), alpha)
-
-
-def stacked_steering(positions: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Steering matrices exp(j x_n alpha_k) of layouts (..., N), shape (..., N, K)."""
-    return np.exp(1j * positions[..., None] * alpha)
+    return np.exp(1j * np.asarray(geometry.positions, dtype=float)[:, None] * alpha)
 
 
 def gain_matrix(geometry: ArrayGeometry, doas: DoASet) -> np.ndarray:
@@ -203,20 +198,17 @@ def gain_matrix(geometry: ArrayGeometry, doas: DoASet) -> np.ndarray:
 def sum_beam_gain(geometry: ArrayGeometry, weights, doas: DoASet) -> BeamGain:
     """Total received gain of one weight vector across all directions.
 
-    G = sum_k |w^H a(theta_k)|^2 for unit-norm w. The dB value is
-    10 log10(G), with -inf once the linear gain falls below GAIN_FLOOR.
-
-    Args:
-        geometry: array layout.
-        weights: complex weight vector, unit L2 norm within 1e-9.
-        doas: directions to sum over.
-
-    Returns:
-        BeamGain(linear, db).
+    G = sum_k |w^H a(theta_k)|^2, for weights checked to be a complex vector
+    of unit L2 norm (within 1e-9). Returns BeamGain(G, 10 log10(G)), the dB
+    value -inf once G falls below GAIN_FLOOR.
     """
-    w = check_weights(weights, geometry.num_elements)
-    s = steering_matrix(geometry, doas.angles_deg)
-    responses = w.conj() @ s
+    return beam_gain(geometry, check_weights(weights, geometry.num_elements), doas)
+
+
+def beam_gain(geometry: ArrayGeometry, weights: np.ndarray, doas: DoASet) -> BeamGain:
+    """sum_beam_gain without the weight check, for weights the package built
+    itself: the lifecycle scores its own solutions through it."""
+    responses = weights.conj() @ steering_matrix(geometry, doas.angles_deg)
     linear = float(np.sum(np.abs(responses) ** 2))
     return BeamGain(linear, to_db(linear))
 

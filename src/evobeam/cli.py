@@ -7,10 +7,11 @@ Subcommands:
               set of directions
     baseline  gain of the uniform fixed array for a fixed set of directions
 
-Exit codes: 0 success, 1 internal error (such as lifecycle bookkeeping
-driven out of order), 2 configuration problem (the message names the
-offending field), 3 unwritable output. Degradation events during a run are
-normal operation, not errors.
+Exit codes: 0 success, 1 internal error (any error the run raises), 2
+configuration problem in the scenario or the arguments (the message names
+the offending field), 3 unwritable output. Degradation events during a run
+are normal operation, not errors. Each subcommand is a generator that
+yields once it has checked its inputs, so main can tell the two apart.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _load_scenario(args):
     return scenario
 
 
-def cmd_run(args) -> int:
+def cmd_run(args):
     scenario = _load_scenario(args)
     router = None
     decisions = []
@@ -123,12 +124,12 @@ def cmd_run(args) -> int:
             raise ConfigurationError("llm: section is required when --llm is given")
         endpoint = EndpointConfig.from_settings(scenario.llm)
         router = make_router(endpoint, decisions)
+    yield
     result = run_episode(scenario, router=router)
     write_metrics_csv(result.metrics_history, args.metrics_out)
     write_events_json(result.event_log, args.events_out, aborts=result.abort_log)
     if not args.quiet:
         _print_run_summary(result, decisions if args.llm else None)
-    return EXIT_OK
 
 
 def _print_run_summary(result, decisions):
@@ -155,11 +156,12 @@ def _print_run_summary(result, decisions):
         print(f"llm routing: {accepted}/{len(decisions)} transitions accepted from the endpoint")
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args):
     constraints = _constraints(args)
     doas = DoASet(tuple(args.angles))
-    base = fixed_baseline(doas, constraints)
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    yield
+    base = fixed_baseline(doas, constraints)
     solution = optimize_movable(doas, config, constraints)
     print(f"directions (deg): {', '.join(f'{a:g}' for a in doas.angles_deg)}")
     print(f"positions (wavelengths): [{_positions_wl(solution.geometry, constraints)}]")
@@ -168,17 +170,16 @@ def cmd_optimize(args) -> int:
         f"(converged={solution.converged})"
     )
     print(f"fixed baseline: {_g(base.gain_db)} dB")
-    return EXIT_OK
 
 
-def cmd_baseline(args) -> int:
+def cmd_baseline(args):
     constraints = _constraints(args)
     doas = DoASet(tuple(args.angles))
+    yield
     solution = fixed_baseline(doas, constraints)
     print(f"directions (deg): {', '.join(f'{a:g}' for a in doas.angles_deg)}")
     print(f"positions (wavelengths): [{_positions_wl(solution.geometry, constraints)}]")
     print(f"gain: {_g(solution.gain_db)} dB")
-    return EXIT_OK
 
 
 def _positions_wl(geometry, constraints):
@@ -188,17 +189,21 @@ def _positions_wl(geometry, constraints):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = args.func(args)
     try:
-        return args.func(args)
+        next(command)  # checks the inputs
     except (ConfigurationError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        next(command, None)  # runs
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
     except EvobeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,14 +1,21 @@
 """Joint optimization of element positions and beamforming weights.
 
-The objective is the sum beam gain over a set of directions. For fixed
-positions the optimal unit-norm weights are the dominant eigenvector of the
-gain matrix, so the position search alternates exact weight updates with
-projected position updates and the whole problem reduces to pushing up the
-dominant eigenvalue.
+For fixed positions the optimal unit-norm weights are the dominant
+eigenvector of the gain matrix, so maximizing the sum beam gain means
+pushing up lambda_max, the top eigenvalue of the K x K Gram S(x)^H S(x).
+The position search is a majorize-maximize ascent (Sun, Babu & Palomar,
+IEEE Trans. Signal Process. 2017). With u the top Gram eigenvector at x
+and f(t) = |sum_k u_k exp(j alpha_k t)|^2, every layout x' has
+lambda_max(x') >= ||S(x') u||^2 = sum_n f(x'_n), with equality at x' = x.
+All elements share f, so the grid layout that maximizes the bound within
+the spacing and position limits is a longest path with a minimum hop, which
+dynamic programming finds exactly (as in Mei et al., IEEE Wireless Commun.
+Lett. 2024). No step lowers lambda_max, and none needs a step size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,32 +28,28 @@ from .arrays import (
     gain_matrix,
     principal_eigenpair,
     spatial_frequencies,
-    stacked_steering,
     steering_matrix,
     sum_beam_gain,
     to_db,
 )
 from .errors import ValidationError, check_count
 
-# Entries a batched update builds at a time (128 KiB of floats), so its
-# memory does not grow with the number of restarts: the projection builds
-# its N x N block-mean tables for at most this many entries at once, and
-# the halving ladder adds step levels to a batch only while its steering
-# matrices (levels x rows x N x K entries) stay within it. One level of
-# rows always goes in one batch.
+# Entries a batched table holds at a time (128 KiB of floats), so memory
+# does not grow with the number of restarts: the projection's N x N
+# block-mean tables and the search's dynamic-programming tables (rows x N x
+# grid points) take rows in batches within it, at least one row a batch.
 _BLOCK_ENTRIES = 1 << 14
 
-# every restart adds a row of positions and a K x N complex steering matrix
-# to each batched update (up to 0.25 MB at arrays.MAX_ELEMENTS); an
+# every restart adds a row of grid scores and a K x N complex steering
+# matrix to each step (up to 0.25 MB at arrays.MAX_ELEMENTS); an
 # unbounded count would fail only inside the solve, with an allocation error
 MAX_RESTARTS = 1024
 
-# The search schedule: each gradient step first tries STEP_SIZE wavelengths
-# and halves it up to MAX_STEP_HALVINGS times until the gain rises; a
-# restart stops once an iteration adds less than GAIN_TOLERANCE_DB, or
-# after MAX_OUTER_ITERATIONS iterations.
-STEP_SIZE = 0.05
-MAX_STEP_HALVINGS = 20
+# The search grid: GRID_PER_WAVELENGTH points per wavelength, coarsened so
+# that it holds at most MAX_GRID_POINTS. A restart stops once a step adds
+# no more than GAIN_TOLERANCE_DB, or after MAX_OUTER_ITERATIONS steps.
+GRID_PER_WAVELENGTH = 32
+MAX_GRID_POINTS = 4096
 GAIN_TOLERANCE_DB = 1e-6
 MAX_OUTER_ITERATIONS = 500
 
@@ -55,7 +58,8 @@ MAX_OUTER_ITERATIONS = 500
 class OptimizerConfig:
     """The budget of optimize_movable: how many restarts, seeded how.
 
-    Restart r > 0 starts at a random layout drawn from seed + r.
+    Restart r > 0 starts from a random eigenvector estimate drawn from
+    seed + r.
     """
 
     restarts: int = 16
@@ -159,7 +163,8 @@ def position_gradient(geometry: ArrayGeometry, weights, doas: DoASet) -> np.ndar
     w = check_weights(weights, geometry.num_elements)
     s = steering_matrix(geometry, doas.angles_deg)
     alpha = spatial_frequencies(geometry.wavelength, doas.angles_deg)
-    return _gradient(s, w, alpha)
+    g = w.conj() @ s
+    return 2.0 * (w.conj() * (s @ (1j * alpha * g.conj()))).real
 
 
 def fixed_baseline(doas: DoASet, constraints: ArrayConstraints) -> BeamformingSolution:
@@ -183,6 +188,25 @@ def fixed_baseline(doas: DoASet, constraints: ArrayConstraints) -> BeamformingSo
     )
 
 
+def position_grid(constraints: ArrayConstraints) -> tuple[np.ndarray, int]:
+    """The search grid's points in meters, and its hop: the grid steps in one
+    min_spacing, so the uniform layout's elements sit hop points apart.
+
+    The step is about 1 / GRID_PER_WAVELENGTH wavelengths; a grid that would
+    exceed MAX_GRID_POINTS gets a smaller hop (at least 1), and then keeps
+    the MAX_GRID_POINTS points centered on the uniform layout.
+    """
+    n, d, b = constraints.num_elements, constraints.min_spacing, constraints.position_bound
+    cap = MAX_GRID_POINTS
+    # either ratio may overflow to infinity, so cap before rounding
+    fine, fit = d * GRID_PER_WAVELENGTH / constraints.wavelength, (cap - 1) * (d / b) / 2
+    hop = max(1, min(math.ceil(min(fine, cap)), math.floor(min(fit, cap))))
+    uniform = constraints.uniform_geometry().positions
+    room = max(0.0, b - (uniform[-1] - uniform[0]) / 2)
+    extra = min(math.floor(min(room * hop / d, cap)), (cap - 1 - (n - 1) * hop) // 2)
+    return uniform[0] + (np.arange((n - 1) * hop + 1 + 2 * extra) - extra) * (d / hop), hop
+
+
 def optimize_movable(
     doas: DoASet,
     config: OptimizerConfig,
@@ -190,52 +214,48 @@ def optimize_movable(
 ) -> BeamformingSolution:
     """Search element positions and weights for maximum sum beam gain.
 
-    Multi-start: restart 0 begins at the uniform centered layout, so the
-    result can never fall below the fixed baseline; the remaining restarts
-    begin at seeded random feasible layouts. Each restart alternates an
-    exact weight update with one projected gradient step on the positions
-    and stops once the dB gain improves by less than GAIN_TOLERANCE_DB.
-    The restarts advance in lockstep as one batch, and every update is
-    vectorized over the restarts still running, projection included. Each
-    iteration first scores, in one batch, as many step halvings as the
-    previous one needed (see _gradient_steps); this changes how steps are
-    batched, never which step is taken. The best restart wins; at equal
-    gain the lowest restart index wins.
-
-    Returns:
-        BeamformingSolution for the winning restart, with the recorded
-        per-iteration dB gains of that restart in gain_history_db.
+    Multi-start majorize-maximize ascent on position_grid. Restart 0 begins
+    at the uniform layout, so the result never falls below the fixed
+    baseline; restart r > 0 begins from a random complex u drawn from
+    seed + r. A restart keeps a step only if it raises the gain by more than
+    GAIN_TOLERANCE_DB, and otherwise has converged. The restarts advance in
+    lockstep as one batch. The best restart wins, the lowest index on ties;
+    its steps are the solution's iterations, and the gains of the layouts
+    it kept its gain_history_db.
     """
     alpha = spatial_frequencies(constraints.wavelength, doas.angles_deg)
-    b = constraints.position_bound
-    n = constraints.num_elements
-    x = np.empty((config.restarts, n))
-    x[0] = constraints.uniform_geometry().positions
-    for restart in range(1, config.restarts):
-        x[restart] = np.sort(np.random.default_rng(config.seed + restart).uniform(-b, b, n))
-    x[1:] = project_positions(x[1:], constraints)
-
-    obj = _lambda_max(_gram(stacked_steering(x, alpha)))
-    histories = [[to_db(v)] for v in obj]
-    iterations = np.zeros(config.restarts, dtype=int)
-    converged = np.zeros(config.restarts, dtype=bool)
-    active = np.arange(config.restarts)
-    depth = 0
+    points, hop = position_grid(constraints)
+    phases = np.exp(1j * points[:, None] * alpha)  # one steering row per grid point
+    n, k, restarts = constraints.num_elements, alpha.size, config.restarts
+    # each restart's layout as grid indices; restart 0 starts uniform
+    layout = np.zeros((restarts, n), dtype=int)
+    layout[0] = (points.size - 1 - (n - 1) * hop) // 2 + hop * np.arange(n)
+    obj, u = np.full(restarts, -np.inf), np.empty((restarts, k), dtype=complex)
+    obj[:1], u[:1] = _top_eigenpairs(phases[layout[:1]])
+    for restart in range(1, restarts):
+        rng = np.random.default_rng(config.seed + restart)
+        u[restart] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    histories = [[to_db(obj[0])]] + [[] for _ in range(1, restarts)]
+    iterations = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    active = np.arange(restarts)
     for iteration in range(1, MAX_OUTER_ITERATIONS + 1):
-        x_active, obj_active = x[active], obj[active]
-        depth = _gradient_steps(x_active, obj_active, alpha, constraints, depth)
-        x[active], obj[active] = x_active, obj_active
+        candidate = _best_layouts(np.abs(u[active] @ phases.T) ** 2, n, hop)
+        value, vectors = _top_eigenpairs(phases[candidate])
         iterations[active] = iteration
-        for restart, value in zip(active, obj_active):
-            history = histories[restart]
-            history.append(to_db(value))
-            converged[restart] = history[-1] - history[-2] < GAIN_TOLERANCE_DB
+        for row, restart in enumerate(active):
+            history, gain_db = histories[restart], to_db(value[row])
+            if history and gain_db - history[-1] <= GAIN_TOLERANCE_DB:
+                converged[restart] = True
+            else:
+                history.append(gain_db)
+                layout[restart], obj[restart], u[restart] = candidate[row], value[row], vectors[row]
         active = active[~converged[active]]
         if active.size == 0:
             break
 
     restart = int(np.argmax(obj))
-    geometry = constraints.geometry(x[restart].tolist())
+    geometry = constraints.geometry(points[layout[restart]].tolist())
     weights = optimal_weights(geometry, doas)
     gain = sum_beam_gain(geometry, weights, doas)
     return BeamformingSolution(
@@ -250,59 +270,36 @@ def optimize_movable(
     )
 
 
-def _gradient_steps(x, obj, alpha, constraints, depth):
-    """One projected gradient ascent step with step halving, per row.
+def _top_eigenpairs(s):
+    """Top eigenpairs of the K x K Grams S^H S of steering matrices (rows, N, K)."""
+    values, vectors = np.linalg.eigh(np.matmul(np.swapaxes(s, -1, -2).conj(), s))
+    return values[:, -1], vectors[:, :, -1]
 
-    x (rows, N) and obj (rows,) are updated in place. Every row tries the
-    steps STEP_SIZE * wavelength * 2^-j for j = 0..MAX_STEP_HALVINGS in
-    turn and takes the first whose projection raises its objective, or
-    keeps its position if none does. The first batch scores levels
-    0..depth for every row through one projection and one eigen-solve
-    (fewer if that would exceed _BLOCK_ENTRIES); rows with no improving
-    level there go on one level per batch. Taking each row's first
-    improving level makes the result the same for any depth.
 
-    Returns the deepest level any row accepted, the depth hint for the
-    next call.
+def _best_layouts(scores, n, hop):
+    """Per row of scores (rows, G), the n indices with gaps of at least hop
+    that maximize the summed score.
+
+    With i_m = m * hop + j_m the gaps become j_0 <= ... <= j_{n-1}. Table m
+    holds per j the best total of elements 0..m with j_m <= j, the running
+    maximum of scores[m * hop + j] plus table m - 1; the backtrack takes,
+    from the last element, the first j where a table reaches the value the
+    next element built on. Tables hold at most _BLOCK_ENTRIES entries at once.
     """
-    s = stacked_steering(x, alpha)
-    _, vecs = np.linalg.eigh(_gram(s))
-    w = np.einsum("rnk,rk->rn", s, vecs[:, :, -1])
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    grad = _gradient(s, w, alpha)
-    # halving is exact in binary floating point, so level j is bit for bit
-    # the step after j halvings
-    steps = STEP_SIZE * constraints.wavelength * 0.5 ** np.arange(MAX_STEP_HALVINGS + 1)
-    width = max(1, min(depth + 1, _BLOCK_ENTRIES // (x.size * alpha.size)))
-    pending = np.arange(x.shape[0])
-    level = deepest = 0
-    while pending.size and level < steps.size:
-        ladder = steps[level : level + width, None, None]
-        candidate = project_positions(x[pending] + ladder * grad[pending], constraints)
-        value = _lambda_max(_gram(stacked_steering(candidate, alpha)))
-        better = value > obj[pending]
-        hit = better.any(axis=0)
-        first = better.argmax(axis=0)[hit]
-        x[pending[hit]] = candidate[first, hit]
-        obj[pending[hit]] = value[first, hit]
-        if first.size:
-            deepest = level + int(first.max())
-        pending = pending[~hit]
-        level += ladder.shape[0]
-        width = 1
-    return deepest
-
-
-def _gram(s):
-    """K x K Gram matrices S^H S, whose eigenvalues are the gain matrix's nonzero ones."""
-    return np.matmul(np.swapaxes(s, -1, -2).conj(), s)
-
-
-def _lambda_max(gram):
-    return np.linalg.eigvalsh(gram)[..., -1]
-
-
-def _gradient(s, w, alpha):
-    """position_gradient for stacked steering matrices (..., N, K) and weights (..., N)."""
-    g = np.einsum("...n,...nk->...k", w.conj(), s)
-    return 2.0 * (w.conj() * np.einsum("...nk,...k->...n", s, 1j * alpha * g.conj())).real
+    span = scores.shape[1] - (n - 1) * hop
+    # window m of a row is its scores[m * hop : m * hop + span]
+    windows = np.lib.stride_tricks.sliding_window_view(scores, span, axis=1)[:, ::hop]
+    index = np.empty((len(scores), n), dtype=int)
+    block = max(1, _BLOCK_ENTRIES // (n * span))
+    buffer = np.empty((min(block, len(scores)), n, span))  # one block's tables
+    for start in range(0, len(scores), block):
+        w, picked = windows[start : start + block], index[start : start + block]
+        tables, rows = buffer[: len(w)], np.arange(len(w))
+        np.maximum.accumulate(w[:, 0], axis=1, out=tables[:, 0])
+        for m in range(1, n):
+            np.maximum.accumulate(w[:, m] + tables[:, m - 1], axis=1, out=tables[:, m])
+        picked[:, -1] = np.argmax(tables[:, -1], axis=1)
+        for m in range(n - 2, -1, -1):
+            reached = tables[rows, m, picked[:, m + 1]]
+            picked[:, m] = np.argmax(tables[:, m] >= reached[:, None], axis=1)
+    return index + hop * np.arange(n)

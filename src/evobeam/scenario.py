@@ -29,10 +29,10 @@ The schema is a nested mapping with a mandatory ``schema_version: 1``:
       timeout_s: 30.0                   # optional, at most MAX_TIMEOUT_S (3600)
       max_retries: 2                    # optional, at most MAX_RETRIES (10)
 
-The optimizer section sets the budget of the one position search, projected
-gradient ascent: its number of restarts. The step schedule is fixed (see
-the constants in evobeam.optimize). It takes no seed: every Training run
-draws its seed from the scenario seed. The llm section builds an
+The optimizer section sets the budget of the one position search, a grid
+majorize-maximize ascent: its number of restarts. Its grid and stopping
+rule are fixed (see evobeam.optimize), and it takes no seed: every Training
+run draws its seed from the scenario seed. The llm section builds an
 EndpointConfig; it names the environment variable that holds the API key,
 never the key, which EndpointConfig.from_settings reads at run time.
 Sensing is fixed too: users stay inside channel.ANGLE_BOUNDS, every CSI

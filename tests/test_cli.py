@@ -14,6 +14,7 @@ from evobeam import cli, lifecycle
 from evobeam.arrays import ArrayConstraints, DoASet
 from evobeam.cli import main
 from evobeam.channel import MAX_STEPS
+from evobeam.errors import ConfigurationError, ValidationError
 from evobeam.optimize import MAX_RESTARTS, OptimizerConfig, fixed_baseline, optimize_movable
 from evobeam.reporting import read_events_json, read_metrics_csv
 from evobeam.scenario import MAX_RETRIES, MAX_TIMEOUT_S
@@ -274,6 +275,17 @@ class TestRun:
         assert main(args) == 3
         assert "output error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [ValidationError, ConfigurationError])
+    def test_an_error_the_run_raises_exits_1(self, tmp_path, capsys, monkeypatch, error):
+        # the loader accepted the file, so an error from inside the run is
+        # a defect of the program, not a configuration problem
+        def broken_run(*args, **kwargs):
+            raise error("adjacent spacing 0.06 below minimum 0.0625")
+
+        monkeypatch.setattr(cli, "run_episode", broken_run)
+        assert main(run_args(write_config(tmp_path), tmp_path)) == 1
+        assert capsys.readouterr().err == "error: adjacent spacing 0.06 below minimum 0.0625\n"
+
     def test_degradation_events_do_not_fail_the_exit_code(self, tmp_path):
         config_text = """\
 schema_version: 1
@@ -409,6 +421,16 @@ class TestOptimizeAndBaseline:
             code = main(args)
         runs = seed >= 0 and 1 <= restarts <= MAX_RESTARTS
         assert code == (0 if runs else 2), err.getvalue()
+
+    @pytest.mark.parametrize("command", ["optimize", "baseline"])
+    @pytest.mark.parametrize("error", [ValidationError, ConfigurationError])
+    def test_an_error_the_solve_raises_exits_1(self, capsys, monkeypatch, command, error):
+        def broken_solve(*args, **kwargs):
+            raise error("solver fault")
+
+        monkeypatch.setattr(cli, "fixed_baseline", broken_solve)
+        assert main([command, "60", "90"]) == 1
+        assert capsys.readouterr().err == "error: solver fault\n"
 
     def test_out_of_range_angle_exits_2(self, capsys):
         assert main(["optimize", "190"]) == 2

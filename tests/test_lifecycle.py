@@ -227,7 +227,8 @@ class TestAgents:
         report = agent_execute(AgentRole.MODEL_SELECTION, blackboard, scenario)
         assert report.ok
         assert size in report.message
-        assert "gradient search with 4 restarts" in report.message
+        # +-5 wavelengths at 32 points per wavelength
+        assert "search on a 321-point grid with 4 restarts" in report.message
 
     def test_training_runs_the_one_search_on_a_wide_problem(self):
         # 4 users on 20 elements: the problem size no longer picks the search
@@ -652,7 +653,14 @@ class TestEpisodes:
         monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.TRAINING, training_down_after_step_0)
         scenario = default_scenario(num_steps=50, seed=3)
         result = run_episode(scenario)
-        assert len(result.abort_log) == 7
+        # every cycle after the step-0 upgrade aborts at Training
+        (upgrade,) = result.event_log
+        assert upgrade.trigger_step == 0
+        triggered = [r.step for r in result.metrics_history if r.step > 0 and r.trigger_reason]
+        assert triggered
+        assert [(a.trigger_step, a.failed_role) for a in result.abort_log] == [
+            (step, AgentRole.TRAINING) for step in triggered
+        ]
         # each abort comes after DataCollection re-estimated, so the record
         # carries DataCollection's estimate, not Monitoring's
         for record in result.metrics_history:

@@ -122,54 +122,6 @@ def _reference_objective(positions, alpha):
     return float(np.linalg.eigvalsh((gram + gram.conj().T) / 2)[-1])
 
 
-def _reference_gradient_step(x, obj, alpha, constraints):
-    s = np.exp(1j * np.outer(x, alpha))
-    gram = s.conj().T @ s
-    u = np.linalg.eigh((gram + gram.conj().T) / 2)[1][:, -1]
-    w = s @ u
-    w = w / np.linalg.norm(w)
-    terms = (1j * alpha * (w.conj() @ s).conj())[None, :] * s * w.conj()[:, None]
-    grad = 2.0 * np.sum(terms.real, axis=1)
-    step = optimize.STEP_SIZE * constraints.wavelength
-    for _ in range(optimize.MAX_STEP_HALVINGS + 1):
-        candidate = pava_projection(x + step * grad, constraints)
-        value = _reference_objective(candidate, alpha)
-        if value > obj:
-            return candidate, value
-        step /= 2
-    return x, obj
-
-
-def sequential_search(doas, config, constraints, shift=0.0):
-    """The multi-start search one restart after another, full Gram per candidate.
-
-    Returns (objective, positions, dB history, iterations, converged) per
-    restart. shift moves every start layout by that many meters; the gain
-    does not depend on a common shift, so a tiny one only changes rounding.
-    """
-    alpha = spatial_frequencies(constraints.wavelength, doas.angles_deg)
-    b, n = constraints.position_bound, constraints.num_elements
-    results = []
-    for restart in range(config.restarts):
-        if restart == 0:
-            x = np.asarray(constraints.uniform_geometry().positions, float)
-        else:
-            rng = np.random.default_rng(config.seed + restart)
-            x = pava_projection(np.sort(rng.uniform(-b, b, n)), constraints)
-        x = x + shift
-        obj = _reference_objective(x, alpha)
-        history = [10 * math.log10(obj)]
-        iterations, converged = 0, False
-        for iterations in range(1, optimize.MAX_OUTER_ITERATIONS + 1):
-            x, obj = _reference_gradient_step(x, obj, alpha, constraints)
-            history.append(10 * math.log10(obj))
-            if history[-1] - history[-2] < optimize.GAIN_TOLERANCE_DB:
-                converged = True
-                break
-        results.append((obj, x, history, iterations, converged))
-    return results
-
-
 def random_doas(rng, k, lo=10.0, hi=170.0, min_sep=2.0):
     angles = []
     while len(angles) < k:
@@ -313,6 +265,36 @@ def test_stacked_projection_equals_row_by_row(case):
     assert np.array_equal(
         project_positions(stack.reshape(2, -1, n), constraints), singles.reshape(2, -1, n)
     )
+
+
+@pytest.mark.parametrize(
+    "cap, rows",
+    [
+        (36, 1),  # below one 8x8 block-mean table
+        (128, 2),
+        (192, 3),  # five rows then take two batches
+    ],
+)
+def test_small_block_cap_bounds_every_projection_batch_and_changes_nothing(
+    monkeypatch, cap, rows
+):
+    constraints = ArrayConstraints()
+    stack = np.random.default_rng(21).uniform(-1.0, 1.0, (5, 8))
+    expected = project_positions(stack, constraints)
+
+    monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", cap)
+    batches = []
+    isotonic = optimize._isotonic_rows
+
+    def counting_isotonic(y):
+        batches.append(y.shape[0])
+        return isotonic(y)
+
+    monkeypatch.setattr(optimize, "_isotonic_rows", counting_isotonic)
+    got = project_positions(stack, constraints)
+
+    assert max(batches) == rows and sum(batches) == 5
+    assert np.array_equal(got, expected)
 
 
 # found by a random search: its uniform layout and projected layouts missed
@@ -589,141 +571,53 @@ def test_search_returns_a_feasible_layout_scored_by_its_own_gram(problem):
     alpha = spatial_frequencies(constraints.wavelength, doas.angles_deg)
     assert abs(sol.gain_db - 10 * math.log10(_reference_objective(x, alpha))) <= 1e-9
     assert abs(np.linalg.norm(sol.weights) - 1.0) <= 1e-9
-    assert np.all(np.diff(sol.gain_history_db) >= -1e-12)
+    # a restart keeps only the steps that raise its gain
+    assert np.all(np.diff(sol.gain_history_db) > optimize.GAIN_TOLERANCE_DB)
+    assert len(sol.gain_history_db) <= sol.iterations + 1
     assert abs(sol.gain_history_db[-1] - sol.gain_db) <= 1e-9
 
 
-# ---------------------------------------------------------------- lockstep search vs sequential reference
-
-# Common shifts of the start layouts, in meters: they leave the gain
-# landscape unchanged and only move the rounding of the reference.
-ROUNDING_PROBES = (1e-15, -1e-15, 2e-15, -2e-15)
+# ---------------------------------------------------------------- grid search
 
 
-def _search_cases(count=40, elements=(2, 13), sources=(1, 5), seed=4040):
+def brute_force_layouts(scores, n, hop):
+    """Best total and every best layout of n grid indices with gaps >= hop,
+    by enumerating all of them."""
+    totals = {
+        layout: math.fsum(scores[list(layout)])
+        for layout in itertools.combinations(range(scores.size), n)
+        if all(b - a >= hop for a, b in zip(layout, layout[1:]))
+    }
+    best = max(totals.values())
+    return best, [layout for layout, total in totals.items() if total >= best - 1e-12]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grid_layouts_match_brute_force_enumeration(seed):
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        constraints = ArrayConstraints(num_elements=int(rng.integers(*elements)))
-        doas = random_doas(rng, int(rng.integers(*sources)))
-        config = OptimizerConfig(
-            restarts=int(rng.integers(1, 7)),
-            seed=int(rng.integers(0, 1000)),
-        )
-        yield doas, config, constraints
+    for _ in range(25):
+        n, hop = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        size = int(rng.integers((n - 1) * hop + 1, 37))
+        scores = rng.random((3, size))
+        scores[1] = np.round(4 * scores[1])  # many ties
+        for row, layout in zip(scores, optimize._best_layouts(scores, n, hop)):
+            best, layouts = brute_force_layouts(row, n, hop)
+            assert tuple(layout) in layouts, (row, n, hop)
+            assert abs(math.fsum(row[layout]) - best) <= 1e-12
 
 
-def _reference_outcome(results):
-    """(gain dB, restart, iterations, converged, positions, winner separated)."""
-    objectives = np.array([r[0] for r in results])
-    winner = int(np.argmax(objectives))
-    obj, x, _, iterations, converged = results[winner]
-    others = np.delete(objectives, winner)
-    separated = others.size == 0 or obj > others.max() * (1 + 1e-9)
-    return 10 * math.log10(obj), winner, iterations, converged, np.asarray(x), separated
+def test_grid_search_never_projects(monkeypatch):
+    calls = []
+    project = optimize.project_positions
 
+    def counting_project(*args):
+        calls.append(args)
+        return project(*args)
 
-def _solution_outcome(solution):
-    return (
-        solution.gain_db,
-        solution.restart_index,
-        solution.iterations,
-        solution.converged,
-        np.asarray(solution.geometry.positions),
-    )
-
-
-def _differences(outcome, expected):
-    gain_db, restart, iterations, converged, positions = outcome[:5]
-    found = []
-    if abs(gain_db - expected[0]) > 1e-9:
-        found.append("gain")
-    if expected[5]:  # the winning restart beats the others: compare its path too
-        if (restart, iterations, converged) != expected[1:4]:
-            found.append("restart/iterations/converged")
-        elif np.max(np.abs(positions - expected[4])) > 1e-9:
-            found.append("positions")
-    return found
-
-
-def _assert_lockstep_matches_reference(cases, max_differing):
-    # A case may differ only where the reference itself differs under a
-    # rounding probe (a path through a saddle amplifies rounding). Restarts
-    # that tie, such as shifted copies of one layout, compare by gain only.
-    differing = []
-    for doas, config, constraints in cases:
-        expected = _reference_outcome(sequential_search(doas, config, constraints))
-        found = _differences(
-            _solution_outcome(optimize_movable(doas, config, constraints)), expected
-        )
-        if not found:
-            continue
-        probes = [
-            _reference_outcome(sequential_search(doas, config, constraints, shift))
-            for shift in ROUNDING_PROBES
-        ]
-        assert any(_differences(p, expected) for p in probes), (doas, config, found)
-        differing.append(found)
-    assert len(differing) <= max_differing, differing
-
-
-def test_lockstep_search_matches_sequential_reference():
-    _assert_lockstep_matches_reference(_search_cases(), max_differing=10)
-
-
-def test_lockstep_search_matches_sequential_reference_on_wide_arrays():
-    # the sizes episodes with 16 elements and 5 users send to the search
-    cases = _search_cases(count=6, elements=(13, 21), sources=(3, 7), seed=4042)
-    _assert_lockstep_matches_reference(cases, max_differing=2)
-
-
-@pytest.mark.parametrize(
-    "cap, rows",
-    [
-        (36, 1),  # below one 8x8 block-mean table
-        (128, 2),
-        (192, 3),  # the 4 restarts' layouts then take two batches
-    ],
-)
-def test_small_block_cap_bounds_every_projection_batch_and_changes_nothing(
-    monkeypatch, cap, rows
-):
-    doas = DoASet((35.0, 80.0, 125.0))
-    config = OptimizerConfig(restarts=4, seed=2)
-    constraints = ArrayConstraints()
-    expected = optimize_movable(doas, config, constraints)
-
-    monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", cap)
-    isotonic_rows = []
-    isotonic = optimize._isotonic_rows
-
-    def counting_isotonic(y):
-        isotonic_rows.append(y.shape[0])
-        return isotonic(y)
-
-    # (entries of the batch, entries of one level of it): a steering batch
-    # of positions (levels, rows, N) holds levels x rows x N x K entries
-    batches = []
-    steering = optimize.stacked_steering
-
-    def counting_steering(positions, alpha):
-        s = steering(positions, alpha)
-        batches.append((s.size, positions.shape[-2] * s.shape[-2] * s.shape[-1]))
-        return s
-
-    monkeypatch.setattr(optimize, "_isotonic_rows", counting_isotonic)
-    monkeypatch.setattr(optimize, "stacked_steering", counting_steering)
-    got = optimize_movable(doas, config, constraints)
-
-    assert isotonic_rows and max(isotonic_rows) == rows
-    assert all(size <= max(cap, level) for size, level in batches), batches
-    assert got.gain_history_db == expected.gain_history_db
-    assert got.geometry.positions == expected.geometry.positions
-    assert np.array_equal(got.weights, expected.weights)
-    assert (got.restart_index, got.iterations, got.converged) == (
-        expected.restart_index,
-        expected.iterations,
-        expected.converged,
-    )
+    monkeypatch.setattr(optimize, "project_positions", counting_project)
+    for elements, angles in ((8, (60.0, 90.0, 120.0)), (16, (40.0, 65.0, 90.0, 115.0, 140.0))):
+        optimize_movable(DoASet(angles), OptimizerConfig(), ArrayConstraints(num_elements=elements))
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -735,45 +629,60 @@ def test_small_block_cap_bounds_every_projection_batch_and_changes_nothing(
             OptimizerConfig(restarts=6, seed=9),
             ArrayConstraints(num_elements=16),
         ),
-        # zero gradient: no level improves, so the ladder runs to its end
+        # every layout ties, so every step keeps the uniform layout
         (DoASet((90.0,)), OptimizerConfig(restarts=1), ArrayConstraints()),
     ],
-    ids=["n8_k3", "n16_k5", "zero_gradient"],
+    ids=["n8_k3", "n16_k5", "broadside"],
 )
-def test_batched_halving_ladder_matches_one_level_per_batch(
-    monkeypatch, doas, config, constraints
-):
+def test_split_dynamic_program_changes_nothing(monkeypatch, doas, config, constraints):
     batched = optimize_movable(doas, config, constraints)
-    # a one-entry cap leaves every batch a single level of the ladder
-    monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", 1)
-    one_level = optimize_movable(doas, config, constraints)
+    # the restarts still reach the dynamic program together; a one-entry
+    # cap then solves every row's tables in a batch of its own
+    rows = []
+    best_layouts = optimize._best_layouts
 
-    assert batched.gain_history_db == one_level.gain_history_db
-    assert batched.geometry.positions == one_level.geometry.positions
-    assert np.array_equal(batched.weights, one_level.weights)
+    def counting_best_layouts(scores, n, hop):
+        rows.append(scores.shape[0])
+        return best_layouts(scores, n, hop)
+
+    monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", 1)
+    monkeypatch.setattr(optimize, "_best_layouts", counting_best_layouts)
+    one_row = optimize_movable(doas, config, constraints)
+
+    assert rows[0] == config.restarts
+    assert batched.gain_history_db == one_row.gain_history_db
+    assert batched.geometry.positions == one_row.geometry.positions
+    assert np.array_equal(batched.weights, one_row.weights)
     assert (batched.restart_index, batched.iterations, batched.converged) == (
-        one_level.restart_index,
-        one_level.iterations,
-        one_level.converged,
+        one_row.restart_index,
+        one_row.iterations,
+        one_row.converged,
     )
 
 
-def test_halving_ladder_takes_few_projections_per_iteration(monkeypatch):
-    # the search repeats exactly, so these are counts, not timings
-    counts = {"project": 0, "iterations": 0}
-    project, steps = optimize.project_positions, optimize._gradient_steps
-
-    def counting_project(*args):
-        counts["project"] += 1
-        return project(*args)
-
-    def counting_steps(*args):
-        counts["iterations"] += 1
-        return steps(*args)
-
-    monkeypatch.setattr(optimize, "project_positions", counting_project)
-    monkeypatch.setattr(optimize, "_gradient_steps", counting_steps)
-    optimize_movable(DoASet((60.0, 90.0, 120.0)), OptimizerConfig(), ArrayConstraints())
-
-    assert counts["iterations"] > 10
-    assert counts["project"] <= 1.5 * counts["iterations"], counts
+@settings(max_examples=60, deadline=None)
+@example(KILOMETRE_SCALE, (60.0, 90.0, 120.0))
+@example(
+    ArrayConstraints(num_elements=MAX_ELEMENTS, position_bound=16.0),
+    (40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0, 170.0),
+)
+@given(
+    envelopes_and_layouts().map(lambda case: case[0]),
+    st.lists(st.floats(1.0, 179.0), min_size=1, max_size=3, unique=True),
+)
+def test_every_constructible_envelope_gets_a_feasible_search(constraints, angles):
+    # the work is bounded by the grid, whose size is capped at any scale
+    points, hop = optimize.position_grid(constraints)
+    n = constraints.num_elements
+    assert 1 <= hop and (n - 1) * hop < points.size <= optimize.MAX_GRID_POINTS
+    b = constraints.position_bound
+    assert np.all(np.abs(points) <= b * (1 + 1e-12))
+    # restart 0 starts at the uniform layout, which lies on the grid
+    start = (points.size - 1 - (n - 1) * hop) // 2 + hop * np.arange(n)
+    uniform = np.asarray(constraints.uniform_geometry().positions)
+    assert np.max(np.abs(points[start] - uniform)) <= 1e-12 * max(1.0, b)
+    solution = optimize_movable(DoASet(tuple(angles)), OptimizerConfig(restarts=2), constraints)
+    x = np.asarray(solution.geometry.positions)
+    slack = 1e-12 * max(1.0, b)
+    assert np.all(np.diff(x) >= constraints.min_spacing - slack)
+    assert np.all(np.abs(x) <= b + slack)
