@@ -336,8 +336,6 @@ def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
             nxt = IDLE
     elif role is AgentRole.EVALUATION:
         passed, pending = blackboard.evaluation_passed, blackboard.pending_event
-        if passed is None:
-            raise ProtocolError("evaluation finished without a verdict")
         if passed:
             nxt = AgentRole.DEPLOYMENT
         elif pending is None:

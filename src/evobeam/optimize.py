@@ -24,20 +24,20 @@ from .arrays import (
     ArrayConstraints,
     ArrayGeometry,
     DoASet,
+    beam_gain,
     check_weights,
     gain_matrix,
     principal_eigenpair,
     spatial_frequencies,
     steering_matrix,
-    sum_beam_gain,
     to_db,
 )
 from .errors import ValidationError, check_count
 
-# Entries a batched table holds at a time (128 KiB of floats), so memory
-# does not grow with the number of restarts: the projection's N x N
-# block-mean tables and the search's dynamic-programming tables (rows x N x
-# grid points) take rows in batches within it, at least one row a batch.
+# Entries the search's dynamic-programming tables (rows x N x grid points)
+# hold at a time (128 KiB of floats), so memory does not grow with the
+# number of restarts: the rows go in batches within it, at least one row a
+# batch.
 _BLOCK_ENTRIES = 1 << 14
 
 # every restart adds a row of grid scores and a K x N complex steering
@@ -99,57 +99,38 @@ def optimal_weights(geometry: ArrayGeometry, doas: DoASet) -> np.ndarray:
 
 
 def project_positions(positions, constraints: ArrayConstraints) -> np.ndarray:
-    """Euclidean projection onto the feasible position set.
+    """Euclidean projection of one layout of shape (N,) onto the feasible set.
 
     Feasible means adjacent gaps of at least min_spacing and every element
-    within +-position_bound. Substituting y_n = x_n - n * min_spacing turns
-    the spacing constraints into monotonicity, and for a monotone vector
-    the per-element boxes collapse to the constant box
+    within +-position_bound. A feasible layout comes back unchanged, as a
+    new array. Otherwise, substituting y_n = x_n - n * min_spacing turns the
+    spacing constraints into monotonicity, and for a monotone vector the
+    per-element boxes collapse to the constant box
     [-bound, bound - (N-1) * min_spacing]; the projection is then isotonic
-    regression followed by a clip.
-
-    positions is one layout of shape (N,) or a stack of shape (..., N);
-    each layout is projected on its own, and layouts that are already
-    feasible are returned unchanged.
+    regression by pool-adjacent-violators (Best & Chakravarti, Math.
+    Program. 1990), O(N), followed by a clip.
     """
-    x = np.asarray(positions, dtype=float)
+    x = np.array(positions, dtype=float)
     n = constraints.num_elements
-    if x.ndim == 0 or x.shape[-1] != n:
+    if x.shape != (n,):
         raise ValidationError(f"expected {n} positions, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValidationError("positions must be finite")
     d = constraints.min_spacing
     b = constraints.position_bound
-    rows = x.reshape(-1, n).copy()
-    infeasible = np.flatnonzero(
-        np.any(np.diff(rows, axis=1) < d, axis=1) | np.any(np.abs(rows) > b, axis=1)
-    )
+    if np.all(np.diff(x) >= d) and np.all(np.abs(x) <= b):
+        return x
     offsets = np.arange(n) * d
-    block = max(1, _BLOCK_ENTRIES // (n * n))
-    for start in range(0, infeasible.size, block):
-        chosen = infeasible[start : start + block]
-        y = _isotonic_rows(rows[chosen] - offsets)
-        np.clip(y, -b, b - (n - 1) * d, out=y)
-        rows[chosen] = y + offsets
-    return rows.reshape(x.shape)
-
-
-def _isotonic_rows(y: np.ndarray) -> np.ndarray:
-    """Nondecreasing least-squares fit of each row of y.
-
-    Uses the min-max formula fit_i = max_{j<=i} min_{k>=i} mean(y[j..k]),
-    with every block mean taken from one prefix sum: O(N^2) per row.
-    """
-    n = y.shape[1]
-    first = np.arange(n)[:, None]
-    last = np.arange(n)[None, :]
-    prefix = np.concatenate((np.zeros((y.shape[0], 1)), np.cumsum(y, axis=1)), axis=1)
-    means = (prefix[:, None, 1:] - prefix[:, :-1, None]) / np.maximum(last - first + 1, 1)
-    means[:, first > last] = np.inf
-    # suffix minimum over the block end k >= i, for every block start j
-    upper = np.minimum.accumulate(means[:, :, ::-1], axis=2)[:, :, ::-1]
-    upper[:, first > last] = -np.inf
-    return upper.max(axis=1)
+    # blocks of pooled values, as (sum, size), with nondecreasing means
+    sums, sizes = [], []
+    for value in (x - offsets).tolist():
+        total, size = value, 1
+        while sums and sums[-1] / sizes[-1] > total / size:
+            total, size = total + sums.pop(), size + sizes.pop()
+        sums.append(total)
+        sizes.append(size)
+    y = np.repeat(np.divide(sums, sizes), sizes)
+    return np.clip(y, -b, b - (n - 1) * d) + offsets
 
 
 def position_gradient(geometry: ArrayGeometry, weights, doas: DoASet) -> np.ndarray:
@@ -170,19 +151,19 @@ def position_gradient(geometry: ArrayGeometry, weights, doas: DoASet) -> np.ndar
 def fixed_baseline(doas: DoASet, constraints: ArrayConstraints) -> BeamformingSolution:
     """Best the immovable reference array can do against these directions.
 
-    Uniform minimum-spacing layout centered on the origin, with weights
-    re-optimized for the given directions.
+    optimal_weights at the uniform minimum-spacing layout centered on the
+    origin, scored as optimize_movable scores its own solution.
     """
     geometry = constraints.uniform_geometry()
-    pair = principal_eigenpair(gain_matrix(geometry, doas))
-    gain = sum_beam_gain(geometry, pair.eigenvector, doas)
+    weights = optimal_weights(geometry, doas)
+    gain = beam_gain(geometry, weights, doas)
     return BeamformingSolution(
         geometry=geometry,
-        weights=pair.eigenvector,
+        weights=weights,
         gain_linear=gain.linear,
         gain_db=gain.db,
         converged=True,
-        iterations=pair.iterations,
+        iterations=1,
         restart_index=0,
         gain_history_db=(gain.db,),
     )
@@ -257,7 +238,7 @@ def optimize_movable(
     restart = int(np.argmax(obj))
     geometry = constraints.geometry(points[layout[restart]].tolist())
     weights = optimal_weights(geometry, doas)
-    gain = sum_beam_gain(geometry, weights, doas)
+    gain = beam_gain(geometry, weights, doas)
     return BeamformingSolution(
         geometry=geometry,
         weights=weights,

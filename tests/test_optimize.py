@@ -97,25 +97,6 @@ def central_difference_gradient(positions, weights, angles_deg, h):
     return grad
 
 
-def pava_projection(x, constraints):
-    """The projection as a pool-adjacent-violators loop over y = x - n*d."""
-    x = np.asarray(x, float)
-    n = x.shape[0]
-    d, b = constraints.min_spacing, constraints.position_bound
-    offsets = np.arange(n) * d
-    values, weights = [], []
-    for v in x - offsets:
-        values.append(float(v))
-        weights.append(1)
-        while len(values) > 1 and values[-2] > values[-1]:
-            v2, w2 = values.pop(), weights.pop()
-            v1, w1 = values.pop(), weights.pop()
-            values.append((w1 * v1 + w2 * v2) / (w1 + w2))
-            weights.append(w1 + w2)
-    y = np.repeat(values, weights)
-    return np.clip(y, -b, b - (n - 1) * d) + offsets
-
-
 def _reference_objective(positions, alpha):
     s = np.exp(1j * np.outer(positions, alpha))
     gram = s.conj().T @ s
@@ -210,91 +191,79 @@ def test_projection_is_idempotent():
         assert np.max(np.abs(p)) <= c.position_bound + 1e-12
 
 
+def feasible_layout(draw, constraints):
+    """A feasible layout: gaps of d plus shares of the slack, the first share
+    before -b."""
+    n, d, b = constraints.num_elements, constraints.min_spacing, constraints.position_bound
+    shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1))) + 1e-3
+    slack = 0.99 * (2 * b - (n - 1) * d) * shares / shares.sum()
+    row = -b + np.cumsum(slack[:n] + np.r_[0.0, np.full(n - 1, d)])
+    # rounding may still put a gap a hair under d; such draws are not feasible
+    assume(np.all(np.diff(row) >= d) and np.max(np.abs(row)) <= b)
+    return row
+
+
 @st.composite
 def projection_inputs(draw, feasible=False):
-    """Constraints that admit a layout, plus a stack of 1-4 rows."""
+    """Constraints that admit a layout, plus one layout of 1-12 positions."""
     n = draw(st.integers(1, 12))
     d = draw(st.floats(0.01, 0.2))
     b = ((n - 1) * d + draw(st.floats(0.01, 1.0))) / 2
     constraints = ArrayConstraints(num_elements=n, min_spacing=d, position_bound=b)
-    m = draw(st.integers(1, 4))
-    if not feasible:
-        values = st.floats(-3 * b, 3 * b, allow_nan=False)
-        return constraints, np.array(draw(st.lists(values, min_size=m * n, max_size=m * n))).reshape(m, n)
-    # gaps of d plus shares of the slack, with the first share before -b
-    shares = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m * (n + 1), max_size=m * (n + 1))))
-    shares = shares.reshape(m, n + 1) + 1e-3
-    slack = 0.99 * (2 * b - (n - 1) * d) * shares / shares.sum(axis=1, keepdims=True)
-    rows = -b + np.cumsum(slack[:, :n] + np.r_[0.0, np.full(n - 1, d)], axis=1)
-    # rounding may still put a gap a hair under d; such draws are not feasible
-    assume(np.all(np.diff(rows, axis=1) >= d) and np.max(np.abs(rows)) <= b)
-    return constraints, rows
+    if feasible:
+        return constraints, feasible_layout(draw, constraints)
+    values = st.floats(-3 * b, 3 * b, allow_nan=False)
+    return constraints, np.array(draw(st.lists(values, min_size=n, max_size=n)))
 
 
-@given(projection_inputs())
-def test_projection_matches_pool_adjacent_violators(case):
-    constraints, rows = case
-    ours = project_positions(rows, constraints)
-    for row, projected in zip(rows, ours):
-        assert np.max(np.abs(projected - pava_projection(row, constraints))) <= 1e-12
+@st.composite
+def projections_and_feasible_layouts(draw):
+    """A projection input plus five feasible layouts of its constraints."""
+    constraints, x = draw(projection_inputs())
+    return constraints, x, [feasible_layout(draw, constraints) for _ in range(5)]
+
+
+@settings(max_examples=300)
+@given(projections_and_feasible_layouts())
+def test_projection_satisfies_the_variational_inequality(case):
+    # p is the projection of x onto a closed convex set exactly when p is in
+    # the set and (x - p) . (q - p) <= 0 for every q in it
+    constraints, x, layouts = case
+    p = project_positions(x, constraints)
+    constraints.geometry(p)  # raises unless p is feasible
+    for q in layouts:
+        scale = max(1.0, float(np.linalg.norm(x - p) * np.linalg.norm(q - p)))
+        assert np.dot(x - p, q - p) <= 1e-12 * scale
 
 
 @given(projection_inputs())
 def test_projection_output_is_feasible_and_idempotent(case):
-    constraints, rows = case
-    ours = project_positions(rows, constraints)
-    assert np.all(np.diff(ours, axis=1) >= constraints.min_spacing - 1e-12)
+    constraints, x = case
+    ours = project_positions(x, constraints)
+    assert np.all(np.diff(ours) >= constraints.min_spacing - 1e-12)
     assert np.max(np.abs(ours)) <= constraints.position_bound + 1e-12
     assert np.max(np.abs(project_positions(ours, constraints) - ours)) <= 1e-12
 
 
 @given(projection_inputs(feasible=True))
 def test_projection_returns_feasible_rows_bit_for_bit(case):
-    constraints, rows = case
-    assert np.array_equal(project_positions(rows, constraints), rows)
+    constraints, x = case
+    assert np.array_equal(project_positions(x, constraints), x)
 
 
-@given(projection_inputs())
-def test_stacked_projection_equals_row_by_row(case):
-    constraints, rows = case
-    n = constraints.num_elements
-    # infeasible rows, then feasible ones, in one stack
-    stack = np.concatenate((rows, project_positions(rows, constraints)))
-    singles = np.array([project_positions(row, constraints) for row in stack])
-    assert np.array_equal(project_positions(stack, constraints), singles)
-    assert np.array_equal(
-        project_positions(stack.reshape(2, -1, n), constraints), singles.reshape(2, -1, n)
-    )
+def test_projection_of_a_feasible_layout_is_a_new_array():
+    c = ArrayConstraints()
+    x = np.asarray(c.uniform_geometry().positions)
+    out = project_positions(x, c)
+    assert out is not x and not np.shares_memory(out, x)
+    assert np.array_equal(out, x)
 
 
-@pytest.mark.parametrize(
-    "cap, rows",
-    [
-        (36, 1),  # below one 8x8 block-mean table
-        (128, 2),
-        (192, 3),  # five rows then take two batches
-    ],
-)
-def test_small_block_cap_bounds_every_projection_batch_and_changes_nothing(
-    monkeypatch, cap, rows
-):
-    constraints = ArrayConstraints()
-    stack = np.random.default_rng(21).uniform(-1.0, 1.0, (5, 8))
-    expected = project_positions(stack, constraints)
-
-    monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", cap)
-    batches = []
-    isotonic = optimize._isotonic_rows
-
-    def counting_isotonic(y):
-        batches.append(y.shape[0])
-        return isotonic(y)
-
-    monkeypatch.setattr(optimize, "_isotonic_rows", counting_isotonic)
-    got = project_positions(stack, constraints)
-
-    assert max(batches) == rows and sum(batches) == 5
-    assert np.array_equal(got, expected)
+def test_projection_rejects_a_stack_of_layouts():
+    c = ArrayConstraints()
+    stack = np.tile(c.uniform_geometry().positions, (2, 1))
+    with pytest.raises(ValidationError, match=r"expected 8 positions, got shape \(2, 8\)"):
+        project_positions(stack, c)
 
 
 # found by a random search: its uniform layout and projected layouts missed
@@ -441,6 +410,39 @@ def test_baseline_gain_matches_dense_oracle():
         sol = fixed_baseline(doas, c)
         oracle = np.linalg.eigvalsh(gain_matrix(sol.geometry, doas))[-1]
         assert_allclose(sol.gain_linear, oracle, rtol=1e-9)
+
+
+def test_baseline_is_the_optimal_weights_of_the_uniform_layout():
+    rng = np.random.default_rng(56)
+    for c in (ArrayConstraints(), ArrayConstraints(num_elements=16)):
+        for _ in range(10):
+            doas = random_doas(rng, 3)
+            sol = fixed_baseline(doas, c)
+            weights = optimal_weights(c.uniform_geometry(), doas)
+            assert np.array_equal(sol.weights, weights)
+            assert sol.gain_db == sum_beam_gain(c.uniform_geometry(), weights, doas).db
+            assert (sol.iterations, sol.restart_index, sol.gain_history_db) == (
+                1,
+                0,
+                (sol.gain_db,),
+            )
+
+
+def test_every_solve_takes_one_eigenpair(monkeypatch):
+    # the benchmark counts weight solves by this one call
+    calls = []
+    eigenpair = optimize.principal_eigenpair
+
+    def counting_eigenpair(matrix):
+        calls.append(matrix.shape)
+        return eigenpair(matrix)
+
+    monkeypatch.setattr(optimize, "principal_eigenpair", counting_eigenpair)
+    doas, c = DoASet((60.0, 90.0, 120.0)), ArrayConstraints()
+    fixed_baseline(doas, c)
+    assert calls == [(8, 8)]
+    optimize_movable(doas, OptimizerConfig(), c)
+    assert calls == [(8, 8)] * 2
 
 
 def test_baseline_on_near_degenerate_pair_matches_dense_oracle():
