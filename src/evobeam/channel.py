@@ -29,6 +29,10 @@ DEFAULT_NUM_STEPS = 50
 # unbounded step count would hold memory and time before any work is done
 MAX_STEPS = 100_000
 DEFAULT_DRIFT_SIGMA = 1.0
+# lowest SNR (dB) whose CSI the estimator can use: below about -3055 dB
+# the noise power 10^(-snr_db/10) is still a finite float, but the
+# covariance of a snapshot batch overflows and every scan fails
+MIN_SNR_DB = -3000.0
 
 # Inward offset used to keep clamped angles pairwise distinct.
 _SEPARATION_EPS = 1e-6
@@ -182,13 +186,7 @@ def synthesize_csi(
 def noise_power(snr_db, name="snr_db") -> float:
     """Per-element noise variance 10^(-snr_db / 10) at this SNR.
 
-    Raises ValidationError naming the field unless snr_db is finite and
-    the variance is a finite float.
+    Raises ValidationError naming the field unless snr_db is finite and at
+    least MIN_SNR_DB, the floor at which a batch's covariance stays finite.
     """
-    snr = check_finite(name, snr_db)
-    try:
-        return 10.0 ** (-snr / 10.0)
-    except OverflowError:
-        raise ValidationError(
-            f"{name} must give a finite noise power 10^(-snr_db/10), got {snr_db!r}"
-        ) from None
+    return 10.0 ** (-check_finite(name, snr_db, MIN_SNR_DB) / 10.0)

@@ -19,7 +19,8 @@ on the estimated angles and the deployment, so a step whose estimate
 and deployment repeat the last one's reuses the last comparison; only
 Monitoring reads or writes that cache. A trigger runs the whole
 collect/select/train/evaluate/deploy cycle inside the same step,
-appending an auditable EvolutionEvent.
+appending an auditable EvolutionEvent; the open cycle is only the list
+of roles it has run.
 run_episode drives the loop over a drifting user trajectory.
 """
 
@@ -155,18 +156,6 @@ class MetricsRecord:
     trigger_reason: TriggerReason | None = None
 
 
-@dataclass
-class _PendingEvent:
-    """Mutable scratchpad for the evolution cycle currently in flight."""
-
-    trigger_step: int
-    reason: TriggerReason
-    pre_gain_db: float | None
-    agent_sequence: list = field(default_factory=list)
-    degraded: bool = False
-    best_candidate: BeamformingSolution | None = None
-
-
 @dataclass(frozen=True)
 class _Comparison:
     """Monitoring's last comparison: at angles, the deployed solution
@@ -183,14 +172,16 @@ class Blackboard:
     """Shared state the agents read and write.
 
     Each agent reads only what the stages before it on the route wrote.
-    Monitoring writes trigger_decision, which opens a cycle.
+    Monitoring writes trigger_decision, which opens a cycle and holds its
+    reason and pre-trigger gain; cycle_roles lists the roles the open cycle
+    has run, and is None exactly outside one.
     DataCollection writes latest_estimate and baseline_solution, the fixed
     baseline at that estimate, for ModelSelection, Training and Evaluation.
-    Training writes candidate_solution for Evaluation, whose
-    evaluation_passed the supervisor routes on, and Deployment reads the
-    candidate and the baseline. Monitoring also writes latest_estimate and
-    baseline_solution together, so a step's record scores the baseline of
-    the estimate it records.
+    Training keeps the cycle's best candidate in candidate_solution, which
+    a new cycle starts without, for Evaluation, whose evaluation_passed the
+    supervisor routes on; Deployment deploys it, degraded unless it passed.
+    Monitoring also writes latest_estimate and baseline_solution together,
+    so a step's record scores the baseline of the estimate it records.
     metrics_history, event_log and abort_log only ever grow: the only
     writers are _append_step_record, _run_deployment and _abort_event, and
     each appends. Agents never assign stage themselves; supervisor_next
@@ -215,7 +206,7 @@ class Blackboard:
     trigger_decision: TriggerDecision | None = None
     last_deployed_gain_db: float | None = None
     last_comparison: _Comparison | None = None
-    pending_event: _PendingEvent | None = None
+    cycle_roles: list | None = None
     consecutive_failures: int = 0
     metrics_history: list = field(default_factory=list)
     event_log: list = field(default_factory=list)
@@ -282,9 +273,9 @@ def agent_execute(role: AgentRole, blackboard: Blackboard, scenario: ScenarioCon
     if blackboard.stage is not role:
         raise ProtocolError(f"agent {role.value} invoked while stage is {blackboard.stage}")
     if role is not AgentRole.MONITORING:
-        if blackboard.pending_event is None:
+        if blackboard.cycle_roles is None:
             raise ProtocolError(f"agent {role.value} invoked outside an evolution cycle")
-        blackboard.pending_event.agent_sequence.append(role)
+        blackboard.cycle_roles.append(role)
     try:
         return AgentReport(role, True, _HANDLERS[role](blackboard, scenario))
     except EvobeamError as exc:
@@ -306,8 +297,8 @@ def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
     Routing is deterministic: Monitoring branches on the trigger decision,
     Evaluation on its verdict, everything else moves forward. A failed
     report retries the same role once and then aborts the cycle into
-    abort_log. After MAX_TRAINING_ROUNDS failed evaluations the best
-    candidate so far is force-deployed and the event marked degraded.
+    abort_log. After MAX_TRAINING_ROUNDS failed evaluations the cycle's
+    best candidate is force-deployed, and the event marked degraded.
     """
     stage = blackboard.stage
     role = last_report.role
@@ -326,23 +317,18 @@ def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
     if role is AgentRole.MONITORING:
         decision = blackboard.trigger_decision
         if decision is not None and decision.trigger:
-            blackboard.pending_event = _PendingEvent(
-                trigger_step=blackboard.step_index,
-                reason=decision.reason,
-                pre_gain_db=decision.deployed_gain_db,
-            )
+            blackboard.cycle_roles = []
+            blackboard.candidate_solution = None
             nxt = AgentRole.DATA_COLLECTION
         else:
             nxt = IDLE
     elif role is AgentRole.EVALUATION:
-        passed, pending = blackboard.evaluation_passed, blackboard.pending_event
-        if passed:
+        roles = blackboard.cycle_roles
+        if blackboard.evaluation_passed:
             nxt = AgentRole.DEPLOYMENT
-        elif pending is None:
+        elif roles is None:
             raise ProtocolError("evaluation failed outside an evolution cycle")
-        elif pending.agent_sequence.count(AgentRole.TRAINING) >= MAX_TRAINING_ROUNDS:
-            pending.degraded = True
-            blackboard.candidate_solution = pending.best_candidate
+        elif roles.count(AgentRole.TRAINING) >= MAX_TRAINING_ROUNDS:
             nxt = AgentRole.DEPLOYMENT
         else:
             nxt = AgentRole.TRAINING
@@ -352,17 +338,21 @@ def supervisor_next(blackboard: Blackboard, last_report: AgentReport):
     return nxt
 
 
+def _trigger_reason(blackboard):
+    decision = blackboard.trigger_decision
+    return decision.reason if decision is not None else None
+
+
 def _abort_event(blackboard, failed_role, error):
-    pending = blackboard.pending_event
     record = AbortRecord(
-        trigger_step=pending.trigger_step if pending else blackboard.step_index,
-        reason=pending.reason if pending else None,
+        trigger_step=blackboard.step_index,
+        reason=_trigger_reason(blackboard),
         failed_role=failed_role,
         error=str(error),
-        agent_sequence=tuple(pending.agent_sequence) if pending else (),
+        agent_sequence=tuple(blackboard.cycle_roles or ()),
     )
     blackboard.abort_log.append(record)
-    blackboard.pending_event = None
+    blackboard.cycle_roles = None
 
 
 def _gain_db(solution, doas):
@@ -419,16 +409,17 @@ def _run_model_selection(blackboard, scenario):
 
 
 def _run_training(blackboard, scenario):
-    pending = blackboard.pending_event
-    attempt = pending.agent_sequence.count(AgentRole.TRAINING) - 1
+    """Run one search round and keep its candidate only if it beats the
+    cycle's best; the summary line names this round's candidate."""
+    attempt = blackboard.cycle_roles.count(AgentRole.TRAINING) - 1
     config = replace(
         scenario.optimizer,
         seed=_derive_seed(scenario.seed, _STREAM_OPTIMIZER, blackboard.step_index, attempt),
     )
     candidate = optimize_movable(blackboard.latest_estimate.angles, config, scenario.constraints)
-    blackboard.candidate_solution = candidate
-    if pending.best_candidate is None or candidate.gain_db > pending.best_candidate.gain_db:
-        pending.best_candidate = candidate
+    best = blackboard.candidate_solution
+    if best is None or candidate.gain_db > best.gain_db:
+        blackboard.candidate_solution = candidate
     return (
         f"optimized positions and weights, gain {candidate.gain_db:.4f} dB "
         f"in {candidate.iterations} iterations"
@@ -436,9 +427,11 @@ def _run_training(blackboard, scenario):
 
 
 def _run_evaluation(blackboard, scenario):
+    """Judge the cycle's best candidate. The floor is fixed within a cycle,
+    so this is the verdict the round's own candidate would get."""
     candidate, baseline = blackboard.candidate_solution, blackboard.baseline_solution
     floor = baseline.gain_db - GAIN_SLACK_DB
-    pre_gain_db = blackboard.pending_event.pre_gain_db
+    pre_gain_db = blackboard.trigger_decision.deployed_gain_db
     if pre_gain_db is not None:
         floor = max(floor, pre_gain_db - _PRE_GAIN_SLACK_DB)
     passed = candidate.gain_db >= floor
@@ -454,24 +447,25 @@ def _run_evaluation(blackboard, scenario):
 
 
 def _run_deployment(blackboard, scenario):
-    pending, candidate = blackboard.pending_event, blackboard.candidate_solution
+    candidate, decision = blackboard.candidate_solution, blackboard.trigger_decision
     blackboard.deployed_solution = candidate
     blackboard.last_deployed_gain_db = float(candidate.gain_db)
     baseline_db = blackboard.baseline_solution.gain_db
-    pre = pending.pre_gain_db if pending.pre_gain_db is not None else baseline_db
+    pre = decision.deployed_gain_db if decision.deployed_gain_db is not None else baseline_db
     blackboard.event_log.append(
         EvolutionEvent(
-            trigger_step=pending.trigger_step,
-            reason=pending.reason,
+            trigger_step=blackboard.step_index,
+            reason=decision.reason,
             pre_gain_db=float(pre),
             post_gain_db=float(candidate.gain_db),
             baseline_gain_db=float(baseline_db),
-            agent_sequence=tuple(pending.agent_sequence),
-            training_rounds=pending.agent_sequence.count(AgentRole.TRAINING),
-            degraded=pending.degraded,
+            agent_sequence=tuple(blackboard.cycle_roles),
+            training_rounds=blackboard.cycle_roles.count(AgentRole.TRAINING),
+            # reached by a pass, or by the round cap after a failed verdict
+            degraded=not blackboard.evaluation_passed,
         )
     )
-    blackboard.pending_event = None
+    blackboard.cycle_roles = None
     return f"deployed candidate at {candidate.gain_db:.4f} dB"
 
 
@@ -512,9 +506,9 @@ _HANDLERS = {
 }
 
 
-def _append_step_record(blackboard, scenario, evolved, reason):
+def _append_step_record(blackboard, scenario):
     """Score the step at the true directions and append the metrics record."""
-    true_doas = blackboard.true_angles
+    true_doas, events = blackboard.true_angles, blackboard.event_log
     estimate = blackboard.latest_estimate
     estimated = tuple(estimate.angles.angles_deg) if estimate is not None else ()
     if blackboard.baseline_solution is not None:
@@ -532,8 +526,8 @@ def _append_step_record(blackboard, scenario, evolved, reason):
             estimated_angles=estimated,
             movable_gain_db=float(movable_db),
             fixed_gain_db=float(fixed_db),
-            evolved=bool(evolved),
-            trigger_reason=reason,
+            evolved=bool(events) and events[-1].trigger_step == blackboard.step_index,
+            trigger_reason=_trigger_reason(blackboard),
         )
     )
 
@@ -583,14 +577,10 @@ def run_episode(scenario: ScenarioConfig, router=None) -> EpisodeResult:
     for step, true_doas in enumerate(trajectory):
         blackboard.step_index = step
         blackboard.true_angles = true_doas
-        events_before = len(blackboard.event_log)
         blackboard.trigger_decision = None
         blackboard.stage = AgentRole.MONITORING
         _drive_cycle(blackboard, scenario, router)
-        decision = blackboard.trigger_decision
-        reason = decision.reason if decision is not None else None
-        evolved = len(blackboard.event_log) > events_before
-        _append_step_record(blackboard, scenario, evolved=evolved, reason=reason)
+        _append_step_record(blackboard, scenario)
     return EpisodeResult(
         metrics_history=tuple(blackboard.metrics_history),
         event_log=tuple(blackboard.event_log),

@@ -199,8 +199,10 @@ class TestRun:
                 "constraints.num_elements",
             ),
             ("csi:\n  snr_db: -1.0e+308\n", "csi.snr_db"),
+            # a finite noise power whose CSI covariance would overflow
+            ("csi:\n  snr_db: -3060\n", "csi.snr_db"),
         ],
-        ids=["restarts", "num_elements", "snr_db"],
+        ids=["restarts", "num_elements", "snr_db", "snr_db-below-floor"],
     )
     def test_value_that_cannot_run_exits_2_before_any_solve(
         self, tmp_path, capsys, monkeypatch, section, path

@@ -23,7 +23,6 @@ from evobeam.lifecycle import (
     TriggerReason,
     _STREAM_OPTIMIZER,
     _STREAM_TRAJECTORY,
-    _PendingEvent,
     _append_step_record,
     _derive_seed,
     agent_execute,
@@ -77,11 +76,19 @@ def make_pair(constraints=None, true_angles=THREE_USERS):
         constraints=constraints or ArrayConstraints(),
         optimizer=OptimizerConfig(restarts=4),
     )
-    blackboard = Blackboard(true_angles=true_angles)
-    blackboard.pending_event = _PendingEvent(
-        trigger_step=0, reason=TriggerReason.HARDWARE_CHANGE, pre_gain_db=None
+    blackboard = Blackboard(
+        true_angles=true_angles,
+        trigger_decision=TriggerDecision(True, TriggerReason.HARDWARE_CHANGE),
+        cycle_roles=[],
     )
     return blackboard, scenario
+
+
+def open_cycle(blackboard, step, reason, pre_gain_db, roles=()):
+    """Open a cycle by hand as a step's triggering Monitoring would."""
+    blackboard.step_index = step
+    blackboard.trigger_decision = TriggerDecision(True, reason, pre_gain_db)
+    blackboard.cycle_roles = list(roles)
 
 
 def swing_scenario():
@@ -171,7 +178,7 @@ class TestAgents:
     )
     def test_cycle_role_outside_a_cycle_is_a_protocol_error(self, role):
         blackboard, scenario = make_pair()
-        blackboard.pending_event = None
+        blackboard.cycle_roles = None
         blackboard.stage = role
         with pytest.raises(ProtocolError, match="outside an evolution cycle"):
             agent_execute(role, blackboard, scenario)
@@ -194,7 +201,8 @@ class TestAgents:
         monkeypatch.setitem(lifecycle._HANDLERS, role, raising)
         blackboard, scenario = make_pair()
         if role is AgentRole.MONITORING:
-            blackboard.pending_event = None
+            # as at a step's start: no decision yet and no cycle open
+            blackboard.trigger_decision = blackboard.cycle_roles = None
         blackboard.stage = role
         for nxt in (role, IDLE):
             report = agent_execute(role, blackboard, scenario)
@@ -202,6 +210,7 @@ class TestAgents:
             assert supervisor_next(blackboard, report) is nxt
         (record,) = blackboard.abort_log
         assert (record.failed_role, record.error) == (role, message)
+        assert blackboard.cycle_roles is None
 
     def test_data_collection_writes_what_it_reports(self):
         blackboard, scenario = make_pair()
@@ -245,6 +254,22 @@ class TestAgents:
         assert candidate.gain_history_db == expected.gain_history_db
         assert candidate.geometry.positions == expected.geometry.positions
         assert candidate.gain_db >= fixed_baseline(angles, scenario.constraints).gain_db - 1e-9
+
+    def test_training_keeps_the_best_candidate_of_the_cycle(self, monkeypatch):
+        blackboard, scenario = make_pair()
+        for role in (AgentRole.DATA_COLLECTION, AgentRole.MODEL_SELECTION, AgentRole.TRAINING):
+            blackboard.stage = role
+            assert agent_execute(role, blackboard, scenario).ok
+        first = blackboard.candidate_solution
+        worse = replace(first, gain_db=first.gain_db - 1.0)
+        better = replace(first, gain_db=first.gain_db + 1.0)
+        for offered, kept in ((worse, first), (replace(first), first), (better, better)):
+            monkeypatch.setattr(lifecycle, "optimize_movable", lambda *args: offered)
+            report = agent_execute(AgentRole.TRAINING, blackboard, scenario)
+            # the summary names this round's candidate, kept or not
+            assert f"gain {offered.gain_db:.4f} dB" in report.message
+            # only a strictly higher gain replaces the best so far
+            assert blackboard.candidate_solution is kept
 
     def test_full_manual_cycle_deploys_a_dominating_solution(self):
         blackboard, scenario = make_pair()
@@ -297,12 +322,8 @@ class TestAgents:
         agent_execute(AgentRole.DATA_COLLECTION, blackboard, scenario)
         baseline = fixed_baseline(blackboard.latest_estimate.angles, scenario.constraints)
         blackboard.candidate_solution = baseline
-        blackboard.pending_event = _PendingEvent(
-            trigger_step=3,
-            reason=TriggerReason.RELATIVE_DROP,
-            pre_gain_db=baseline.gain_db + 5.0,
-        )
-        blackboard.pending_event.agent_sequence.append(AgentRole.TRAINING)
+        roles = [AgentRole.DATA_COLLECTION, AgentRole.MODEL_SELECTION, AgentRole.TRAINING]
+        open_cycle(blackboard, 3, TriggerReason.RELATIVE_DROP, baseline.gain_db + 5.0, roles)
         blackboard.stage = AgentRole.EVALUATION
         report = agent_execute(AgentRole.EVALUATION, blackboard, scenario)
         assert report.ok
@@ -318,8 +339,7 @@ class TestAgents:
         assert blackboard.latest_estimate is None
         assert blackboard.baseline_solution is None
         assert supervisor_next(blackboard, report) is AgentRole.DATA_COLLECTION
-        assert blackboard.pending_event.reason is TriggerReason.HARDWARE_CHANGE
-        assert blackboard.pending_event.pre_gain_db is None
+        assert blackboard.cycle_roles == []
 
     def test_monitoring_appends_a_record_when_healthy(self):
         blackboard, scenario = make_pair()
@@ -352,7 +372,7 @@ class TestAgents:
         old = fixed_baseline(THREE_USERS, scenario.constraints)
         blackboard.deployed_solution = old
         blackboard.last_deployed_gain_db = old.gain_db
-        blackboard.pending_event = None
+        blackboard.cycle_roles = None
         blackboard.stage = AgentRole.MONITORING
         assert agent_execute(AgentRole.MONITORING, blackboard, scenario).ok
         pinned = blackboard.latest_estimate
@@ -362,9 +382,7 @@ class TestAgents:
         monkeypatch.setattr(lifecycle, "estimate_doas", lambda cov, geometry, k: pinned)
 
         # one cycle by hand deploys a new array
-        blackboard.pending_event = _PendingEvent(
-            trigger_step=0, reason=TriggerReason.BELOW_BASELINE, pre_gain_db=None
-        )
+        open_cycle(blackboard, 0, TriggerReason.BELOW_BASELINE, None)
         blackboard.stage = AgentRole.DATA_COLLECTION
         for _ in range(5):
             report = agent_execute(blackboard.stage, blackboard, scenario)
@@ -384,6 +402,7 @@ class TestAgents:
 class TestSupervisorRouting:
     def test_monitoring_trigger_routes_to_data_collection(self):
         blackboard, _ = make_pair()
+        blackboard.cycle_roles = None
         blackboard.stage = AgentRole.MONITORING
         blackboard.trigger_decision = TriggerDecision(
             True, TriggerReason.BELOW_BASELINE, deployed_gain_db=3.98, baseline_gain_db=7.82
@@ -391,8 +410,7 @@ class TestSupervisorRouting:
         nxt = supervisor_next(blackboard, ok_report(AgentRole.MONITORING))
         assert nxt is AgentRole.DATA_COLLECTION
         assert blackboard.stage is AgentRole.DATA_COLLECTION
-        assert blackboard.pending_event is not None
-        assert blackboard.pending_event.pre_gain_db == pytest.approx(3.98)
+        assert blackboard.cycle_roles == []
 
     def test_monitoring_without_trigger_goes_idle(self):
         blackboard, _ = make_pair()
@@ -432,22 +450,21 @@ class TestSupervisorRouting:
 
     def test_fail_report_retries_once_then_aborts(self):
         blackboard, _ = make_pair()
-        blackboard.pending_event = _PendingEvent(
-            trigger_step=4, reason=TriggerReason.BELOW_BASELINE, pre_gain_db=3.0
-        )
-        blackboard.pending_event.agent_sequence.append(AgentRole.DATA_COLLECTION)
+        open_cycle(blackboard, 4, TriggerReason.BELOW_BASELINE, 3.0, [AgentRole.DATA_COLLECTION])
         blackboard.stage = AgentRole.DATA_COLLECTION
         nxt = supervisor_next(blackboard, fail_report(AgentRole.DATA_COLLECTION, "no signal"))
         assert nxt is AgentRole.DATA_COLLECTION
         assert blackboard.consecutive_failures == 1
         nxt = supervisor_next(blackboard, fail_report(AgentRole.DATA_COLLECTION, "no signal"))
         assert nxt is IDLE
-        assert blackboard.pending_event is None
+        assert blackboard.cycle_roles is None
         assert len(blackboard.abort_log) == 1
         record = blackboard.abort_log[0]
         assert record.failed_role is AgentRole.DATA_COLLECTION
         assert record.error == "no signal"
         assert record.trigger_step == 4
+        assert record.reason is TriggerReason.BELOW_BASELINE
+        assert record.agent_sequence == (AgentRole.DATA_COLLECTION,)
 
     def test_success_resets_the_retry_budget(self):
         blackboard, _ = make_pair()
@@ -469,21 +486,29 @@ class TestSupervisorRouting:
     def test_training_round_cap_forces_a_degraded_deployment(self):
         blackboard, scenario = make_pair()
         best = fixed_baseline(THREE_USERS, scenario.constraints)
-        pending = _PendingEvent(
-            trigger_step=2, reason=TriggerReason.BELOW_BASELINE, pre_gain_db=20.0
-        )
-        pending.agent_sequence.extend([AgentRole.DATA_COLLECTION, AgentRole.MODEL_SELECTION])
-        pending.agent_sequence.extend(
-            [AgentRole.TRAINING, AgentRole.EVALUATION] * MAX_TRAINING_ROUNDS
-        )
-        pending.best_candidate = best
-        blackboard.pending_event = pending
+        roles = [AgentRole.DATA_COLLECTION, AgentRole.MODEL_SELECTION]
+        roles += [AgentRole.TRAINING, AgentRole.EVALUATION] * MAX_TRAINING_ROUNDS
+        open_cycle(blackboard, 2, TriggerReason.BELOW_BASELINE, 20.0, roles)
+        blackboard.baseline_solution = best
+        blackboard.candidate_solution = best
         blackboard.stage = AgentRole.EVALUATION
         blackboard.evaluation_passed = False
         nxt = supervisor_next(blackboard, ok_report(AgentRole.EVALUATION))
         assert nxt is AgentRole.DEPLOYMENT
-        assert pending.degraded
         assert blackboard.candidate_solution is best
+        report = agent_execute(AgentRole.DEPLOYMENT, blackboard, scenario)
+        assert report.ok, report.message
+        assert blackboard.deployed_solution is best
+        assert blackboard.cycle_roles is None
+        (event,) = blackboard.event_log
+        assert event.degraded
+        assert (event.trigger_step, event.reason, event.pre_gain_db) == (
+            2,
+            TriggerReason.BELOW_BASELINE,
+            20.0,
+        )
+        assert event.training_rounds == MAX_TRAINING_ROUNDS
+        assert event.agent_sequence == (*roles, AgentRole.DEPLOYMENT)
 
 
 class TestEpisodes:
@@ -700,6 +725,39 @@ class TestEpisodes:
         assert result.metrics_history[0].evolved
         assert_valid_sequence(event.agent_sequence)
 
+    def test_a_new_cycle_starts_without_a_candidate(self, monkeypatch):
+        real_training = lifecycle._HANDLERS[AgentRole.TRAINING]
+        real_evaluation = lifecycle._HANDLERS[AgentRole.EVALUATION]
+        trained, judged = [], []
+
+        def training(blackboard, scenario):
+            line = real_training(blackboard, scenario)
+            if blackboard.step_index == 0:
+                # an unbeatable candidate, left behind when this cycle aborts
+                best = blackboard.candidate_solution
+                blackboard.candidate_solution = replace(best, gain_db=best.gain_db + 100.0)
+            trained.append(blackboard.candidate_solution)
+            return line
+
+        def evaluation(blackboard, scenario):
+            judged.append(blackboard.candidate_solution)
+            if blackboard.step_index == 0:
+                raise EvobeamError("judge offline")
+            return real_evaluation(blackboard, scenario)
+
+        monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.TRAINING, training)
+        monkeypatch.setitem(lifecycle._HANDLERS, AgentRole.EVALUATION, evaluation)
+        result = run_episode(default_scenario(num_steps=2, seed=9))
+        assert [(a.trigger_step, a.failed_role) for a in result.abort_log] == [
+            (0, AgentRole.EVALUATION)
+        ]
+        (event,) = result.event_log
+        assert (event.trigger_step, event.reason) == (1, TriggerReason.HARDWARE_CHANGE)
+        # step 1's cycle judged and deployed its own candidate
+        left, fresh = trained
+        assert judged == [left, left, fresh]
+        assert event.post_gain_db == fresh.gain_db < left.gain_db
+
     def test_router_cannot_redirect_the_episode(self):
         scenario = default_scenario(num_steps=5, seed=17)
         calls = []
@@ -736,12 +794,10 @@ def logs(blackboard):
 
 
 def snapshot(blackboard):
-    """Everything the blackboard holds, down to what its logs and pending
-    event hold, since those change in place."""
+    """Everything the blackboard holds, down to what its logs and the open
+    cycle's roles hold, since those change in place."""
     held = [getattr(blackboard, f.name) for f in fields(Blackboard)]
-    pending = blackboard.pending_event
-    if pending is not None:
-        held += [*vars(pending).values(), *pending.agent_sequence]
+    held += blackboard.cycle_roles or ()
     for log in logs(blackboard):
         held += log
     return held
@@ -767,7 +823,6 @@ class LifecycleMachine(RuleBasedStateMachine):
         self.logs = ((), (), ())
         self.finished_steps = 0
         self.step_open = False
-        self.events_before = 0
         # while set, every Evaluation of the open cycle fails its verdict
         self.harsh = False
 
@@ -793,7 +848,6 @@ class LifecycleMachine(RuleBasedStateMachine):
         step = self.finished_steps
         blackboard.step_index = step
         blackboard.true_angles = self.trajectory[step]
-        self.events_before = len(blackboard.event_log)
         blackboard.trigger_decision = None
         blackboard.stage = AgentRole.MONITORING
         self.step_open = True
@@ -811,7 +865,7 @@ class LifecycleMachine(RuleBasedStateMachine):
             report = agent_execute(blackboard.stage, blackboard, self.scenario)
         assert report.ok or report.message == INJECTED, report
         supervisor_next(blackboard, report)
-        if blackboard.pending_event is None:
+        if blackboard.cycle_roles is None:
             self.harsh = False
 
     @precondition(lambda self: self.blackboard.stage is AgentRole.EVALUATION and not self.harsh)
@@ -825,13 +879,13 @@ class LifecycleMachine(RuleBasedStateMachine):
     def finish_step(self):
         """Append the step's record once the stage went idle, as run_episode does."""
         blackboard = self.blackboard
-        decision = blackboard.trigger_decision
-        reason = decision.reason if decision is not None else None
-        evolved = len(blackboard.event_log) > self.events_before
-        _append_step_record(blackboard, self.scenario, evolved=evolved, reason=reason)
+        _append_step_record(blackboard, self.scenario)
         self.finished_steps += 1
         self.step_open = False
         record = blackboard.metrics_history[-1]
+        decision = blackboard.trigger_decision
+        assert record.trigger_reason is (decision.reason if decision is not None else None)
+        assert record.evolved == any(e.trigger_step == record.step for e in blackboard.event_log)
         assert record.fixed_gain_db == cold_fixed_gain_db(record, self.scenario.constraints)
 
     @rule(data=st.data(), kind=st.sampled_from(["agent", "outside", "report"]))
@@ -841,7 +895,7 @@ class LifecycleMachine(RuleBasedStateMachine):
         stage: each raises ProtocolError and leaves the blackboard as it was."""
         blackboard = self.blackboard
         stage = blackboard.stage
-        if kind == "outside" and blackboard.pending_event is not None:
+        if kind == "outside" and blackboard.cycle_roles is not None:
             kind = "agent"  # inside a cycle there is no outside call to make
         roles = CYCLE_ROLES if kind == "outside" else AgentRole
         role = data.draw(st.sampled_from([r for r in roles if r is not stage]))
@@ -861,10 +915,10 @@ class LifecycleMachine(RuleBasedStateMachine):
         assert_unchanged(before, blackboard)
 
     @invariant()
-    def only_an_open_cycle_holds_a_pending_event(self):
+    def only_an_open_cycle_holds_its_roles(self):
         blackboard = self.blackboard
         outside = blackboard.stage is IDLE or blackboard.stage is AgentRole.MONITORING
-        assert (blackboard.pending_event is None) == outside
+        assert (blackboard.cycle_roles is None) == outside
 
     @invariant()
     def logs_only_grow_by_appending(self):

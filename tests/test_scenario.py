@@ -3,17 +3,20 @@
 import math
 import re
 import textwrap
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evobeam.arrays import MAX_ELEMENTS
-from evobeam.channel import MAX_STEPS
+from evobeam.channel import MAX_STEPS, MIN_SNR_DB
 from evobeam.errors import ConfigurationError
 from evobeam import scenario
+from evobeam.lifecycle import run_episode
 from evobeam.optimize import MAX_RESTARTS
 from evobeam.scenario import (
     MAX_RETRIES,
@@ -92,6 +95,9 @@ def test_fixed_sensing_setting_is_rejected_with_its_path(path, named):
         ("constraints.num_elements", 10**9),
         ("csi.snr_db", -1e308),
         ("csi.snr_db", -3100.0),
+        # the noise power is finite here, but a batch's covariance is not
+        ("csi.snr_db", -3060.0),
+        ("csi.snr_db", MIN_SNR_DB - 1.0),
         ("trajectory.num_steps", 0),
         ("trajectory.num_steps", MAX_STEPS + 1),
         ("trajectory.num_steps", 10**9),
@@ -313,8 +319,12 @@ VALUES = st.one_of(
 
 
 def field_values(valid):
-    """The field's valid value (or mapping) three times in four, any value otherwise."""
-    good = schema_mappings(valid) if isinstance(valid, dict) else st.just(valid)
+    """The field's valid value (or mapping, or drawn valid value) three times
+    in four, any value otherwise."""
+    if isinstance(valid, dict):
+        good = schema_mappings(valid)
+    else:
+        good = valid if isinstance(valid, st.SearchStrategy) else st.just(valid)
     return st.integers(0, 3).flatmap(lambda draw: good if draw else VALUES)
 
 
@@ -340,6 +350,63 @@ def test_loader_returns_a_config_or_names_the_field(drawn):
         assert head is not None and head.group(1) in set(SCHEMA) | set(mapping), str(exc)
     else:
         assert isinstance(config, ScenarioConfig)
+
+
+def run_without_warnings(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_episode(config)
+
+
+@pytest.mark.parametrize("elements, bound", [(8, 2.5), (128, 16.0)])
+def test_the_snr_floor_runs_without_an_abort(elements, bound):
+    assert MIN_SNR_DB == -3000.0
+    config = scenario_from_mapping(
+        minimal_mapping(
+            constraints={"num_elements": elements, "position_bound": bound},
+            optimizer={"restarts": 2},
+            csi={"snr_db": MIN_SNR_DB},
+        )
+    )
+    result = run_without_warnings(config)
+    assert len(result.metrics_history) == 3
+    assert not result.abort_log
+
+
+# SCHEMA with the fields a run depends on drawn over valid values, so the
+# accepted configs differ in more than their invalid fields
+RUNNABLE = {
+    **SCHEMA,
+    "seed": st.integers(0, 2**16),
+    "trajectory": {**SCHEMA["trajectory"], "num_steps": st.integers(1, 3)},
+    "constraints": {
+        **SCHEMA["constraints"],
+        "num_elements": st.integers(4, 24),
+        "position_bound": st.floats(0.625, 2.0),
+    },
+    "optimizer": {"restarts": st.integers(1, 2)},
+    "csi": {"snr_db": st.floats(MIN_SNR_DB, 100.0)},
+}
+
+
+# each example runs up to 3 steps of 2 restarts; the count bounds the work
+@settings(max_examples=100, deadline=None)
+@given(drawn=schema_mappings(RUNNABLE))
+@example(drawn={"csi": {"snr_db": MIN_SNR_DB}})
+def test_an_accepted_config_runs_without_an_abort(drawn):
+    """Whatever the loader accepts runs: nothing escapes, and no cycle aborts."""
+    try:
+        config = scenario_from_mapping({**minimal_mapping(), **drawn})
+    except ConfigurationError:
+        assume(False)
+    assume(config.trajectory.num_steps <= 3)
+    restarts = min(config.optimizer.restarts, 2)
+    config = replace(config, optimizer=replace(config.optimizer, restarts=restarts))
+    result = run_without_warnings(config)
+    assert [record.step for record in result.metrics_history] == list(
+        range(config.trajectory.num_steps)
+    )
+    assert not result.abort_log
 
 
 def test_documented_scenarios_load():
