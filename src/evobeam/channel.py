@@ -66,6 +66,13 @@ class ScriptedDrift:
 DriftModel = Union[RandomWalkDrift, ScriptedDrift]
 
 
+def _check_in_bounds(path, angles):
+    lo, hi = ANGLE_BOUNDS
+    for a in angles:
+        if not (lo <= a <= hi):
+            raise ValidationError(f"{path}: {a} outside bounds {ANGLE_BOUNDS}")
+
+
 @dataclass(frozen=True)
 class TrajectoryConfig:
     initial_angles: DoASet
@@ -76,12 +83,7 @@ class TrajectoryConfig:
     def __post_init__(self):
         num_steps = check_count("trajectory.num_steps", self.num_steps, 1, MAX_STEPS)
         object.__setattr__(self, "num_steps", num_steps)
-        lo, hi = ANGLE_BOUNDS
-        for a in self.initial_angles.angles_deg:
-            if not (lo <= a <= hi):
-                raise ValidationError(
-                    f"trajectory.initial_angles: {a} outside bounds {ANGLE_BOUNDS}"
-                )
+        _check_in_bounds("trajectory.initial_angles", self.initial_angles.angles_deg)
         if isinstance(self.drift, ScriptedDrift):
             path = "trajectory.drift.waypoints"
             if len(self.drift.waypoints) != self.num_steps:
@@ -98,6 +100,7 @@ class TrajectoryConfig:
                     raise ValidationError(
                         f"{path}[{i}]: source count differs from initial_angles"
                     )
+                _check_in_bounds(f"{path}[{i}]", w)
             if self.drift.waypoints[0] != self.initial_angles.angles_deg:
                 raise ValidationError(f"{path}[0]: first waypoint must equal initial_angles")
         elif not isinstance(self.drift, RandomWalkDrift):

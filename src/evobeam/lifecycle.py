@@ -11,13 +11,12 @@ call out of turn raises ProtocolError.
 Every step starts at Monitoring, the one way into a cycle: it fires
 HardwareChange while no movable array is deployed, and otherwise watches
 the deployed beamformer against the best the fixed uniform array could do.
-Per step, Monitoring synthesizes CSI, forms the covariance and scans
-it. Per deployment it builds the scan's grid and steering matrix once
-(the estimator keeps them on the deployed geometry), and the uniform
-layout is built once per constraints. Both gains it compares depend only
-on the estimated angles and the deployment, so a step whose estimate
-and deployment repeat the last one's reuses the last comparison; only
-Monitoring reads or writes that cache. A trigger runs the whole
+Both sensing agents, Monitoring and DataCollection, observe through one
+path: synthesize CSI, form the covariance, scan it, and write the
+estimate with the fixed baseline at it. The baseline follows the
+estimate: it is rebuilt only when the estimated angles change. The
+estimator keeps the scan's grid and steering matrix per geometry, and
+the uniform layout is built once per constraints. A trigger runs the whole
 collect/select/train/evaluate/deploy cycle inside the same step,
 appending an auditable EvolutionEvent; the open cycle is only the list
 of roles it has run.
@@ -156,17 +155,6 @@ class MetricsRecord:
     trigger_reason: TriggerReason | None = None
 
 
-@dataclass(frozen=True)
-class _Comparison:
-    """Monitoring's last comparison: at angles, the deployed solution
-    scored deployed_db and the fixed array's best was baseline."""
-
-    angles: DoASet
-    deployed: BeamformingSolution
-    deployed_db: float
-    baseline: BeamformingSolution
-
-
 @dataclass
 class Blackboard:
     """Shared state the agents read and write.
@@ -175,22 +163,20 @@ class Blackboard:
     Monitoring writes trigger_decision, which opens a cycle and holds its
     reason and pre-trigger gain; cycle_roles lists the roles the open cycle
     has run, and is None exactly outside one.
-    DataCollection writes latest_estimate and baseline_solution, the fixed
-    baseline at that estimate, for ModelSelection, Training and Evaluation.
+    Both sensing agents write latest_estimate and baseline_solution, the
+    fixed baseline at that estimate, together and only through _observe,
+    so the baseline always belongs to the estimate beside it: Monitoring
+    compares against it, ModelSelection, Training and Evaluation read
+    DataCollection's, and a step's record scores the one it records.
     Training keeps the cycle's best candidate in candidate_solution, which
     a new cycle starts without, for Evaluation, whose evaluation_passed the
     supervisor routes on; Deployment deploys it, degraded unless it passed.
-    Monitoring also writes latest_estimate and baseline_solution together,
-    so a step's record scores the baseline of the estimate it records.
     metrics_history, event_log and abort_log only ever grow: the only
     writers are _append_step_record, _run_deployment and _abort_event, and
     each appends. Agents never assign stage themselves; supervisor_next
     performs every transition and the episode runner starts every step at
     Monitoring.
     deployed_solution changes only inside the Deployment agent.
-    last_comparison is Monitoring's own cache: only Monitoring reads or
-    writes it, and it replaces the entry when its estimate or the
-    deployment differs from the entry's.
     true_angles are the step's actual directions: the sensing agents
     synthesize CSI from them, and the step's metrics are scored at them.
     """
@@ -205,7 +191,6 @@ class Blackboard:
     evaluation_passed: bool | None = None
     trigger_decision: TriggerDecision | None = None
     last_deployed_gain_db: float | None = None
-    last_comparison: _Comparison | None = None
     cycle_roles: list | None = None
     consecutive_failures: int = 0
     metrics_history: list = field(default_factory=list)
@@ -363,9 +348,12 @@ def _format_angles(angles):
     return "[" + ", ".join(f"{a:.1f}" for a in angles) + "]"
 
 
-def _sense(geometry, blackboard, scenario, stream):
-    """Synthesize this step's CSI on geometry and estimate the directions.
+def _observe(geometry, blackboard, scenario, stream):
+    """Sense this step's directions on geometry and return them.
 
+    Synthesizes CSI, estimates the directions and writes latest_estimate;
+    baseline_solution is rebuilt only when the angles differ from the
+    previous estimate's, since the fixed baseline depends on nothing else.
     The noise seed is (stream, step, consecutive failures), so a retry
     draws fresh noise.
     """
@@ -376,9 +364,14 @@ def _sense(geometry, blackboard, scenario, stream):
         scenario.snr_db,
         seed=_derive_seed(scenario.seed, stream, step, attempt),
     )
-    return estimate_doas(
+    estimate = estimate_doas(
         sample_covariance(csi), geometry, len(scenario.trajectory.initial_angles)
     )
+    previous = blackboard.latest_estimate
+    if previous is None or previous.angles != estimate.angles:
+        blackboard.baseline_solution = fixed_baseline(estimate.angles, scenario.constraints)
+    blackboard.latest_estimate = estimate
+    return estimate.angles
 
 
 # Each handler runs one agent on the blackboard and returns its summary
@@ -389,12 +382,10 @@ def _run_data_collection(blackboard, scenario):
     deployed = blackboard.deployed_solution
     # sense on the array the receiver has: deployed, or uniform before any
     geometry = scenario.constraints.uniform_geometry() if deployed is None else deployed.geometry
-    estimate = _sense(geometry, blackboard, scenario, _STREAM_COLLECT_CSI)
-    blackboard.latest_estimate = estimate
-    blackboard.baseline_solution = fixed_baseline(estimate.angles, scenario.constraints)
+    angles = _observe(geometry, blackboard, scenario, _STREAM_COLLECT_CSI)
     return (
         f"collected {DEFAULT_SNAPSHOTS} snapshots, "
-        f"estimated directions {_format_angles(estimate.angles.angles_deg)}"
+        f"estimated directions {_format_angles(angles.angles_deg)}"
     )
 
 
@@ -475,21 +466,9 @@ def _run_monitoring(blackboard, scenario):
         blackboard.trigger_decision = TriggerDecision(True, TriggerReason.HARDWARE_CHANGE)
         return "no movable array deployed: trigger HardwareChange"
     deployed = blackboard.deployed_solution
-    estimate = _sense(deployed.geometry, blackboard, scenario, _STREAM_MONITOR_CSI)
-    angles = estimate.angles
-    last = blackboard.last_comparison
-    if last is None or last.deployed is not deployed or last.angles != angles:
-        last = _Comparison(
-            angles,
-            deployed,
-            _gain_db(deployed, angles),
-            fixed_baseline(angles, scenario.constraints),
-        )
-        blackboard.last_comparison = last
-    deployed_db, baseline = last.deployed_db, last.baseline
+    angles = _observe(deployed.geometry, blackboard, scenario, _STREAM_MONITOR_CSI)
+    deployed_db, baseline = _gain_db(deployed, angles), blackboard.baseline_solution
     decision = monitoring_check(deployed_db, baseline.gain_db, blackboard.last_deployed_gain_db)
-    blackboard.latest_estimate = estimate
-    blackboard.baseline_solution = baseline
     blackboard.trigger_decision = decision
     blackboard.last_deployed_gain_db = decision.deployed_gain_db
     state = f"trigger {decision.reason.value}" if decision.trigger else "healthy"

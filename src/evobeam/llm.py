@@ -55,10 +55,9 @@ def _opener():
 
 @dataclass(frozen=True)
 class RoutingDecision:
-    """The stage to run next and where the answer came from."""
+    """Where one routing answer came from; the route is the caller's own."""
 
-    role: object
-    source: str  # "llm" or "fallback"
+    source: str  # "llm" when the answer named the route, else "fallback"
     raw_response: str = ""
 
 
@@ -105,25 +104,25 @@ def parse_role_name(raw) -> object | None:
 
 
 def decide_next_agent(prompt: str, fallback_role, config: EndpointConfig) -> RoutingDecision:
-    """Ask the endpoint for the next stage, falling back deterministically.
+    """Ask the endpoint for the next stage and record whether it agreed.
 
     fallback_role is the deterministic supervisor result and therefore the
-    only legal transition; an answer is used as-is only when it matches
-    it. No failure mode escapes as an exception.
+    only legal transition; the decision's source is "llm" only when the
+    answer names it. No failure mode escapes as an exception.
     """
     raw = _post_chat(prompt, config)
     if raw is None:
-        return RoutingDecision(role=fallback_role, source="fallback")
+        return RoutingDecision("fallback")
     parsed = parse_role_name(raw)
     if parsed is None:
         log.warning("unparseable routing response %r; using fallback", raw[:80])
-        return RoutingDecision(role=fallback_role, source="fallback", raw_response=raw)
+        return RoutingDecision("fallback", raw)
     if parsed is not fallback_role:
         log.warning(
             "routing response %r is not a legal transition here; using fallback", raw[:80]
         )
-        return RoutingDecision(role=fallback_role, source="fallback", raw_response=raw)
-    return RoutingDecision(role=parsed, source="llm", raw_response=raw)
+        return RoutingDecision("fallback", raw)
+    return RoutingDecision("llm", raw)
 
 
 def _post_chat(prompt_text, config):
@@ -166,7 +165,7 @@ def make_router(config: EndpointConfig, decision_log=None):
 
     Args:
         config: endpoint to query.
-        decision_log: optional list collecting every RoutingDecision.
+        decision_log: optional list collecting the RoutingDecision of each transition.
     """
 
     def router(blackboard, report, fallback_role):

@@ -113,6 +113,16 @@ def test_initial_angles_outside_bounds_are_rejected():
         walk_config(1.0, initial=(3.0, 90.0, 120.0))
 
 
+@pytest.mark.parametrize("outside", [ANGLE_BOUNDS[0] - 0.5, ANGLE_BOUNDS[1] + 0.5])
+def test_scripted_waypoints_outside_bounds_are_rejected(outside):
+    with pytest.raises(ValidationError, match=r"^trajectory\.drift\.waypoints\[1\]: "):
+        TrajectoryConfig(
+            num_steps=2,
+            initial_angles=DoASet((60.0, 90.0)),
+            drift=ScriptedDrift(waypoints=((60.0, 90.0), (outside, 90.0))),
+        )
+
+
 @pytest.mark.parametrize("initial", [(ANGLE_BOUNDS[0], 90.0), (90.0, ANGLE_BOUNDS[1])])
 def test_initial_angles_at_the_bounds_are_accepted(initial):
     assert walk_config(1.0, initial=initial).initial_angles.angles_deg == initial

@@ -3,6 +3,7 @@
 import math
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -398,6 +399,43 @@ class TestAgents:
         assert blackboard.trigger_decision.deployed_gain_db == expected
         assert expected != sum_beam_gain(old.geometry, old.weights, before).db
 
+    def monitor_then_collect(self, monkeypatch, collected_angles=None):
+        """A healthy Monitoring step, then a DataCollection whose scan returns
+        Monitoring's estimate, or one at collected_angles; returns the
+        blackboard, the scenario and Monitoring's baseline."""
+        blackboard, scenario = make_pair()
+        deployed = optimize_movable(THREE_USERS, scenario.optimizer, scenario.constraints)
+        blackboard.deployed_solution = deployed
+        blackboard.last_deployed_gain_db = deployed.gain_db
+        blackboard.cycle_roles = None
+        blackboard.stage = AgentRole.MONITORING
+        assert agent_execute(AgentRole.MONITORING, blackboard, scenario).ok
+        monitored = blackboard.baseline_solution
+        collected = blackboard.latest_estimate
+        if collected_angles is not None:
+            collected = replace(collected, angles=DoASet(collected_angles))
+        monkeypatch.setattr(lifecycle, "estimate_doas", lambda cov, geometry, k: collected)
+        open_cycle(blackboard, 0, TriggerReason.BELOW_BASELINE, None)
+        blackboard.stage = AgentRole.DATA_COLLECTION
+        assert agent_execute(AgentRole.DATA_COLLECTION, blackboard, scenario).ok
+        assert blackboard.latest_estimate is collected
+        return blackboard, scenario, monitored
+
+    def test_a_repeated_estimate_keeps_the_baseline(self, monkeypatch):
+        blackboard, _, monitored = self.monitor_then_collect(monkeypatch)
+        assert monitored is not None
+        assert blackboard.baseline_solution is monitored
+
+    def test_a_changed_estimate_rebuilds_the_baseline(self, monkeypatch):
+        moved = (65.0, 95.0, 125.0)
+        blackboard, scenario, monitored = self.monitor_then_collect(monkeypatch, moved)
+        baseline = blackboard.baseline_solution
+        assert baseline is not monitored
+        expected = fixed_baseline(DoASet(moved), scenario.constraints)
+        assert baseline.geometry == expected.geometry
+        assert np.array_equal(baseline.weights, expected.weights)
+        assert baseline.gain_db == expected.gain_db
+
 
 class TestSupervisorRouting:
     def test_monitoring_trigger_routes_to_data_collection(self):
@@ -580,7 +618,8 @@ class TestEpisodes:
         result = run_episode(scenario)
         assert not result.abort_log
         records = result.metrics_history
-        # both holds repeat estimates, where Monitoring reuses its comparison
+        # both holds repeat estimates, where the sensing agents keep the
+        # baseline they built for the first of them
         repeats = [
             b.step for a, b in zip(records, records[1:]) if a.estimated_angles == b.estimated_angles
         ]

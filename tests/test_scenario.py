@@ -105,6 +105,11 @@ def test_fixed_sensing_setting_is_rejected_with_its_path(path, named):
         ("trajectory.drift.waypoints", [[60.0, 90.0, 120.0]] * 2),
         ("trajectory.drift.waypoints", [[60.0, 90.0, 120.0], [60.0, 90.0], [60.0, 90.0, 120.0]]),
         ("trajectory.drift.waypoints", [[61.0, 90.0, 120.0]] * 3),
+        # inside (0, 180), but outside the range the scan covers
+        (
+            "trajectory.drift.waypoints",
+            [[60.0, 90.0, 120.0], [1.0, 90.0, 179.5], [0.5, 90.0, 179.9]],
+        ),
     ],
 )
 def test_value_that_cannot_run_is_rejected_with_its_path(path, value):
@@ -338,10 +343,43 @@ def schema_mappings(schema):
 PATH_HEAD = re.compile(r"([A-Za-z_]\w*)(?:\.\w+|\[\d+\])*(?::| |$)")
 
 
+# SCHEMA with its numeric leaves drawn over wide valid ranges; the loader
+# builds no arrays and no trajectory, so large counts cost nothing
+LOADABLE = {
+    **SCHEMA,
+    "seed": st.integers(0, 2**63),
+    "trajectory": {
+        **SCHEMA["trajectory"],
+        "num_steps": st.integers(1, MAX_STEPS),
+        # the scripted drift holds three waypoints, so only a random walk
+        # loads at the other step counts
+        "drift": st.one_of(
+            schema_mappings({"kind": "random_walk", "sigma_deg_per_step": st.floats(0.0, 1e3)}),
+            schema_mappings(SCHEMA["trajectory"]["drift"]),
+        ),
+    },
+    "constraints": {
+        # spacings up to 1 and bounds from 1 fit most drawn element counts
+        "wavelength": st.floats(1e-3, 10.0),
+        "num_elements": st.integers(1, MAX_ELEMENTS),
+        "min_spacing": st.floats(1e-3, 1.0),
+        "position_bound": st.floats(1.0, 1e4),
+    },
+    "optimizer": {"restarts": st.integers(1, MAX_RESTARTS)},
+    "csi": {"snr_db": st.floats(MIN_SNR_DB, 1e3)},
+    "llm": {
+        **SCHEMA["llm"],
+        "timeout_s": st.floats(1e-3, MAX_TIMEOUT_S),
+        "max_retries": st.integers(0, MAX_RETRIES),
+    },
+}
+
+
 @settings(max_examples=400, deadline=None)
-@given(drawn=schema_mappings(SCHEMA))
+@given(drawn=schema_mappings(LOADABLE))
 def test_loader_returns_a_config_or_names_the_field(drawn):
-    """Any schema-shaped mapping loads or fails with a dotted field path, nothing else."""
+    """Any schema-shaped mapping loads or fails with a dotted field path,
+    nothing else; what loads carries the values the mapping gave."""
     mapping = {**minimal_mapping(), **drawn}
     try:
         config = scenario_from_mapping(mapping)
@@ -350,6 +388,14 @@ def test_loader_returns_a_config_or_names_the_field(drawn):
         assert head is not None and head.group(1) in set(SCHEMA) | set(mapping), str(exc)
     else:
         assert isinstance(config, ScenarioConfig)
+        built = {"constraints": config.constraints, "optimizer": config.optimizer}
+        for section, target in built.items():
+            for key, value in (mapping.get(section) or {}).items():
+                # a null spacing or bound asks for its default
+                assert value is None or getattr(target, key) == value, (section, key)
+        csi = mapping.get("csi") or {}
+        if "snr_db" in csi:
+            assert config.snr_db == csi["snr_db"]
 
 
 def run_without_warnings(config):
