@@ -235,14 +235,18 @@ def check_weights(weights, num_elements: int) -> np.ndarray:
 
 
 def check_hermitian(matrix: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
-    """Validate a square Hermitian matrix and return it as a complex array."""
+    """Validate a nonempty square Hermitian matrix and return it as a
+    complex array. The asymmetry may reach tolerance times the largest
+    entry's magnitude (at least 1)."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
+    if m.size == 0:
+        raise ValidationError(f"expected a nonempty matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise ValidationError("matrix entries must be finite")
-    if np.max(np.abs(m - m.conj().T)) > tolerance * scale:
+    scale = max(1.0, float(np.abs(m).max()))
+    if np.abs(m - m.conj().T).max() > tolerance * scale:
         raise ValidationError("matrix is not Hermitian within tolerance")
     return m
 

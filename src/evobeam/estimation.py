@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -82,9 +83,11 @@ def estimate_doas(covariance, geometry: ArrayGeometry, num_sources: int) -> DoaE
     """Scan the Bartlett spectrum and pick the strongest separated peaks.
 
     The spectrum is P(theta) = a(theta)^H R a(theta) / N on a fixed grid
-    of GRID_RESOLUTION_DEG steps over channel.ANGLE_BOUNDS. Peaks are
-    strict local maxima, taken greedily by descending value (ties broken
-    toward lower angles) subject to a minimum separation of
+    of GRID_RESOLUTION_DEG steps over channel.ANGLE_BOUNDS. With A the
+    N x G steering matrix of the grid, the whole scan is one matmul: the
+    column sums of conj(A) * (R A), a quadratic form per grid point.
+    Peaks are strict local maxima, taken greedily by descending value
+    (ties broken toward lower angles) subject to a minimum separation of
     MIN_PEAK_SEPARATION_DEG. If fewer than num_sources separated peaks
     exist, the remainder are the largest leftover grid points and the
     estimate is flagged low confidence.
@@ -107,26 +110,8 @@ def estimate_doas(covariance, geometry: ArrayGeometry, num_sources: int) -> DoaE
         )
 
     grid, a, a_conj = _scan(geometry)
-    spectrum = np.real(np.einsum("ng,nm,mg->g", a_conj, cov, a)) / n
-
-    peak_idx = _local_maxima(spectrum)
-    order = sorted(peak_idx, key=lambda i: (-spectrum[i], grid[i]))
-    chosen: list[int] = []
-    for i in order:
-        if len(chosen) == num_sources:
-            break
-        if all(abs(grid[i] - grid[j]) >= MIN_PEAK_SEPARATION_DEG - 1e-12 for j in chosen):
-            chosen.append(i)
-    low_confidence = len(chosen) < num_sources
-    if low_confidence:
-        taken = set(chosen)
-        filler = sorted(
-            (i for i in range(len(grid)) if i not in taken),
-            key=lambda i: (-spectrum[i], grid[i]),
-        )
-        chosen.extend(filler[: num_sources - len(chosen)])
-
-    chosen.sort(key=lambda i: grid[i])
+    spectrum = np.real(np.sum(a_conj * (cov @ a), axis=0)) / n
+    chosen, low_confidence = _pick_peaks(grid, spectrum, num_sources)
     angles = DoASet(tuple(float(grid[i]) for i in chosen))
     return DoaEstimate(
         angles=angles,
@@ -135,6 +120,29 @@ def estimate_doas(covariance, geometry: ArrayGeometry, num_sources: int) -> DoaE
         peak_values=tuple(float(spectrum[i]) for i in chosen),
         low_confidence=low_confidence,
     )
+
+
+def _pick_peaks(grid: np.ndarray, spectrum: np.ndarray, num_sources: int):
+    """The grid indices of num_sources directions, ascending, and whether
+    any had to be filled in from outside the separated peaks.
+
+    Candidates go by descending spectrum, then ascending grid angle; the
+    grid points are distinct, so this is a total order.
+    """
+    peaks = np.array(_local_maxima(spectrum), dtype=np.intp)
+    chosen: list[int] = []
+    for i in peaks[np.lexsort((grid[peaks], -spectrum[peaks]))].tolist():
+        if len(chosen) == num_sources:
+            break
+        if all(abs(grid[i] - grid[j]) >= MIN_PEAK_SEPARATION_DEG - 1e-12 for j in chosen):
+            chosen.append(i)
+    low_confidence = len(chosen) < num_sources
+    if low_confidence:
+        taken = set(chosen)
+        filler = (i for i in np.lexsort((grid, -spectrum)).tolist() if i not in taken)
+        chosen.extend(islice(filler, num_sources - len(chosen)))
+    chosen.sort(key=lambda i: grid[i])
+    return chosen, low_confidence
 
 
 def _local_maxima(values: np.ndarray) -> list:

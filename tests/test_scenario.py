@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evobeam.arrays import MAX_ELEMENTS
@@ -323,13 +323,24 @@ VALUES = st.one_of(
 )
 
 
+def valid_values(valid):
+    """The field's valid value, mapping or drawn valid value."""
+    if isinstance(valid, dict):
+        return valid_mappings(valid)
+    return valid if isinstance(valid, st.SearchStrategy) else st.just(valid)
+
+
+def valid_mappings(schema):
+    """Mappings over the schema's field names, each field optional and valid."""
+    return st.fixed_dictionaries(
+        {}, optional={name: valid_values(valid) for name, valid in schema.items()}
+    )
+
+
 def field_values(valid):
     """The field's valid value (or mapping, or drawn valid value) three times
     in four, any value otherwise."""
-    if isinstance(valid, dict):
-        good = schema_mappings(valid)
-    else:
-        good = valid if isinstance(valid, st.SearchStrategy) else st.just(valid)
+    good = schema_mappings(valid) if isinstance(valid, dict) else valid_values(valid)
     return st.integers(0, 3).flatmap(lambda draw: good if draw else VALUES)
 
 
@@ -419,33 +430,52 @@ def test_the_snr_floor_runs_without_an_abort(elements, bound):
     assert not result.abort_log
 
 
-# SCHEMA with the fields a run depends on drawn over valid values, so the
-# accepted configs differ in more than their invalid fields
+# SCHEMA with the fields a run depends on drawn over valid values. The
+# trajectory and llm sections are drawn whole, since their fields depend on
+# each other, and 21 elements fit the default bound, so every mapping loads:
+# the invalid side is the loader property's.
 RUNNABLE = {
     **SCHEMA,
     "seed": st.integers(0, 2**16),
-    "trajectory": {**SCHEMA["trajectory"], "num_steps": st.integers(1, 3)},
+    "trajectory": st.one_of(
+        st.fixed_dictionaries(
+            {"num_steps": st.integers(1, 3), "initial_angles": st.just(ANGLES)},
+            optional={
+                "drift": valid_mappings(
+                    {"kind": "random_walk", "sigma_deg_per_step": st.floats(0.0, 30.0)}
+                )
+            },
+        ),
+        st.just({**SCHEMA["trajectory"], "drift": {"kind": "scripted", "waypoints": [ANGLES] * 3}}),
+    ),
     "constraints": {
         **SCHEMA["constraints"],
-        "num_elements": st.integers(4, 24),
+        "num_elements": st.integers(4, 21),
         "position_bound": st.floats(0.625, 2.0),
     },
     "optimizer": {"restarts": st.integers(1, 2)},
     "csi": {"snr_db": st.floats(MIN_SNR_DB, 100.0)},
+    "llm": st.fixed_dictionaries(
+        {name: st.just(SCHEMA["llm"][name]) for name in ("base_url", "model_name")},
+        optional={
+            name: st.just(value)
+            for name, value in SCHEMA["llm"].items()
+            if name not in ("base_url", "model_name")
+        },
+    ),
 }
 
 
 # each example runs up to 3 steps of 2 restarts; the count bounds the work
 @settings(max_examples=100, deadline=None)
-@given(drawn=schema_mappings(RUNNABLE))
+@given(drawn=valid_mappings(RUNNABLE))
 @example(drawn={"csi": {"snr_db": MIN_SNR_DB}})
 def test_an_accepted_config_runs_without_an_abort(drawn):
-    """Whatever the loader accepts runs: nothing escapes, and no cycle aborts."""
-    try:
-        config = scenario_from_mapping({**minimal_mapping(), **drawn})
-    except ConfigurationError:
-        assume(False)
-    assume(config.trajectory.num_steps <= 3)
+    """A config of valid values loads and runs: nothing escapes, and no
+    cycle aborts."""
+    config = scenario_from_mapping({**minimal_mapping(), **drawn})
+    assert config.trajectory.num_steps <= 3
+    # a missing optimizer section asks for the default 16 restarts
     restarts = min(config.optimizer.restarts, 2)
     config = replace(config, optimizer=replace(config.optimizer, restarts=restarts))
     result = run_without_warnings(config)
